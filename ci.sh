@@ -122,7 +122,10 @@ cmp target/ci/audit-w1.txt target/ci/audit-w4.txt || {
 
 # Serve protocol determinism, end to end through the real binary in
 # --script mode: a scripted request mix (sizes, a typed-error row, a
-# batch fan-out, an exploration sweep, a cache snapshot) must produce
+# batch fan-out, an exploration sweep, a cache snapshot, and two
+# infeasible specs — one certified by the audit (s4), one found
+# infeasible by the GP solver (s5) — both stored as failure entries
+# and replayed from the snapshot on the warm runs) must produce
 # byte-identical response streams at any worker count, and a daemon
 # warm-booted from the cold run's snapshot (into a different shard
 # count) must replay the same work byte-identically — only the stats op
@@ -136,6 +139,8 @@ cat > "$SERVE/requests.ndjson" <<'EOF'
 {"op":"size","id":"s1","macro":"mux8:dom","load":20,"delay":320}
 {"op":"size","id":"s2","macro":"zd16:domino"}
 {"op":"size","id":"s3","macro":"bogus9"}
+{"op":"size","id":"s4","macro":"inc8","delay":5}
+{"op":"size","id":"s5","macro":"zd16","load":8,"delay":250}
 {"op":"batch","id":"b1","requests":[{"macro":"inc8","delay":400},{"macro":"mux8:dom","load":20,"delay":320},{"macro":"mux4"}]}
 {"op":"explore","id":"e1","macro":"mux4","delay":400}
 {"op":"snapshot","id":"sn","path":"target/ci/serve/cache.snapshot"}

@@ -13,7 +13,8 @@
 //!   [`Certificate`] of infeasibility — the constraint subset whose
 //!   interval images cannot intersect — when the spec cannot be met by
 //!   any sizing. The flow surfaces this as a typed error with zero Newton
-//!   work, zero retry-ladder burn, and zero cache pollution.
+//!   work and zero retry-ladder burn; the sizing cache stores it, so a
+//!   repeat does not even rebuild the GP.
 //! * **Dominance pruning** ([`prune`]): constraints term-wise dominated
 //!   by another active constraint (exact exponent-row match with
 //!   coefficient ordering — the multi-corner duplicate case) are proven

@@ -3,8 +3,8 @@
 //! Multi-macro sweeps (the Table-2-style comparisons) size the *same
 //! topology* many times: every sweep point re-explores the full
 //! alternative set, and most candidates recur with identical instance
-//! conditions. The cache keys a completed [`SizingOutcome`] on everything
-//! that determines it —
+//! conditions. The cache keys a completed answer — a [`SizingOutcome`] or
+//! a [`CachedFailure`] — on everything that determines it —
 //!
 //! * the netlist's [`Circuit::structural_hash`] (devices, connectivity,
 //!   labels, wire caps, ports),
@@ -17,19 +17,23 @@
 //!   split otherwise-identical entries),
 //! * the boundary conditions (exact bit patterns, sorted by port name),
 //! * a fingerprint of every [`SizingOptions`] knob that can change the
-//!   solution (cost metric, iteration caps, tolerances, pins, OTB,
-//!   dominance mode, relaxation ladder, warm start) — deliberately
-//!   *excluding* the resource budget, which can only abort a solve, never
-//!   steer a successful one.
+//!   answer (cost metric, iteration caps, tolerances, pins, OTB,
+//!   dominance mode, relaxation ladder, warm start, audit gate) —
+//!   deliberately *excluding* the resource budget, which can only abort a
+//!   solve, never steer its answer.
 //!
-//! Only successful outcomes are stored: failures may be budget- or
-//! timing-dependent and must be re-derived. Because the whole flow is
-//! deterministic, a hit is byte-identical to the cold solve it replaces
-//! for any inputs that map to the same key — which, given the spec
-//! quantization, means specs equal after rounding to the 2⁻¹² ps grid
-//! (sub-quantum spec differences are below any timing meaning by
-//! construction). The cache-correctness test suite asserts the bitwise
-//! replay.
+//! An entry holds either a successful outcome or a **deterministic
+//! failure** ([`CachedFailure`]): "this spec is unachievable" is a normal
+//! advisory answer, and the flow computes it exactly as deterministically
+//! as a sizing. Aborts (budget, cancellation), contained panics, lint
+//! rejections and invalid requests are never stored — they describe the
+//! run, not the question — and nothing is stored from a run with a chaos
+//! plan attached. Because the whole flow is deterministic, a hit is
+//! byte-identical to the cold run it replaces for any inputs that map to
+//! the same key — which, given the spec quantization, means specs equal
+//! after rounding to the 2⁻¹² ps grid (sub-quantum spec differences are
+//! below any timing meaning by construction). The cache-correctness test
+//! suite asserts the bitwise replay.
 //!
 //! # Multi-client ownership
 //!
@@ -41,7 +45,7 @@
 //! recency stamps), and [`SizingCache::snapshot`] / [`SizingCache::restore`]
 //! persist the entries byte-stably (the checkpoint float-bit-pattern
 //! encoding, entries sorted by key) so a warm restart replays exactly the
-//! outcomes the previous process computed. Per-sweep hit/miss attribution
+//! answers the previous process computed. Per-sweep hit/miss attribution
 //! is the caller's job via [`CacheStats`] — the cache's own counters are
 //! process-lifetime aggregates over *all* clients.
 
@@ -51,12 +55,13 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use smart_gp::GpError;
 use smart_models::ModelLibrary;
 use smart_netlist::{Circuit, StableHasher};
 use smart_sta::Boundary;
 
 use crate::sizing::SizingOutcome;
-use crate::{CostMetric, DelaySpec, SizingOptions};
+use crate::{AuditGate, CostMetric, DelaySpec, FlowError, SizingOptions};
 
 /// Cache key: every input that determines a sizing outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -183,8 +188,18 @@ pub(crate) fn options_fingerprint(opts: &SizingOptions) -> u64 {
         }
         None => h.write_bool(false),
     }
-    // opts.budget intentionally excluded: budgets abort solves (which are
-    // never cached), they cannot change a successful outcome.
+    // The audit gate changes what a failing request answers: under
+    // `Certificates` or `Prune` a provably doomed spec is a typed
+    // certificate, under `Off` the same spec reaches Newton and fails as
+    // a GP `infeasible` with different text. Stored failures replay that
+    // text, so every gate keys separately.
+    h.write_u8(match opts.audit {
+        AuditGate::Certificates => 0,
+        AuditGate::Prune => 1,
+        AuditGate::Off => 2,
+    });
+    // opts.budget intentionally excluded: budgets abort solves (aborts are
+    // never stored), they cannot change a completed answer.
     // opts.trace intentionally excluded: observability records what the
     // flow did, it never changes what the flow computes — keying on it
     // would needlessly split traced and untraced runs into disjoint
@@ -193,20 +208,15 @@ pub(crate) fn options_fingerprint(opts: &SizingOptions) -> u64 {
     // before its first cache lookup, so gating can never steer an outcome
     // that reaches the cache.
     // opts.chaos, opts.budget.clock and opts.retry_backoff likewise:
-    // faults and budget expiry abort candidates (aborts are never
-    // cached), and backoff/clock choice only move *when* a solve runs,
-    // never what it computes.
+    // faults and budget expiry abort candidates (a run with a chaos plan
+    // stores no failure at all), and backoff/clock choice only move
+    // *when* a solve runs, never what it computes.
     // opts.checkpoint likewise: persistence replays rows, it never
     // changes how they are computed.
     // opts.cache_stats likewise: a statistics sink records what the flow
     // did, it never changes what the flow computes — keying on it would
     // split every sweep (each gets a fresh sink) into its own disjoint
     // cache population, defeating cross-sweep memoization entirely.
-    // opts.audit likewise, exactly like trace: certificates only *abort*
-    // candidates (aborts are never cached), and dominance pruning is
-    // feasible-set-preserving — the prune-parity suite in CI pins the
-    // pruned and unpruned optima together — so the audit gate must never
-    // fork the cache key space.
     h.finish()
 }
 
@@ -258,6 +268,161 @@ fn outcome_checksum(outcome: &SizingOutcome) -> u64 {
     h.finish()
 }
 
+/// A deterministic failure the cache stores and replays: exactly the
+/// [`FlowError`] variants that are pure functions of the [`CacheKey`].
+/// Each variant keeps its error's payload verbatim (floats as exact bit
+/// patterns), so a replayed row renders byte-identically to the cold one
+/// — same taxonomy tag, same `Display` text.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CachedFailure {
+    /// [`FlowError::InfeasibleCertificate`]: the pre-solve audit proved
+    /// the spec unachievable.
+    InfeasibleCertificate {
+        /// Labels of the certifying constraint subset.
+        constraints: Vec<String>,
+        /// The analyzer's contradiction summary.
+        detail: String,
+    },
+    /// [`FlowError::Gp`] carrying [`GpError::Infeasible`]: phase I found
+    /// no feasible point at any relaxation rung.
+    GpInfeasible {
+        /// Worst constraint body value phase I reached.
+        worst_violation: f64,
+    },
+    /// [`FlowError::Gp`] carrying [`GpError::Unbounded`].
+    GpUnbounded,
+    /// [`FlowError::NoConvergence`].
+    NoConvergence {
+        /// Last measured worst delay (ps).
+        measured: f64,
+        /// The specification it chased (ps).
+        spec: f64,
+    },
+    /// [`FlowError::TooManyPaths`].
+    TooManyPaths {
+        /// Compacted class count.
+        classes: usize,
+        /// The configured limit.
+        limit: usize,
+    },
+    /// [`FlowError::NoEndpoints`].
+    NoEndpoints,
+}
+
+impl TryFrom<&FlowError> for CachedFailure {
+    type Error = ();
+
+    /// Decides what is memoizable. The match over [`FlowError`] is
+    /// exhaustive on purpose: a new variant does not compile until someone
+    /// decides whether it answers the key or describes the run.
+    fn try_from(e: &FlowError) -> Result<Self, ()> {
+        match e {
+            FlowError::InfeasibleCertificate {
+                constraints,
+                detail,
+            } => Ok(CachedFailure::InfeasibleCertificate {
+                constraints: constraints.clone(),
+                detail: detail.clone(),
+            }),
+            FlowError::Gp(GpError::Infeasible { worst_violation }) => {
+                Ok(CachedFailure::GpInfeasible {
+                    worst_violation: *worst_violation,
+                })
+            }
+            FlowError::Gp(GpError::Unbounded) => Ok(CachedFailure::GpUnbounded),
+            FlowError::NoConvergence { measured, spec } => Ok(CachedFailure::NoConvergence {
+                measured: *measured,
+                spec: *spec,
+            }),
+            FlowError::TooManyPaths { classes, limit } => Ok(CachedFailure::TooManyPaths {
+                classes: *classes,
+                limit: *limit,
+            }),
+            FlowError::NoEndpoints => Ok(CachedFailure::NoEndpoints),
+            // Solver-machinery trouble (numerical stalls, non-finite
+            // values, budget trips inside the solver) is what the retry
+            // ladder treats as transient: a fault of the run, not an
+            // answer. `GpError` is non-exhaustive across crates, hence
+            // the wildcard.
+            FlowError::Gp(_) => Err(()),
+            // Malformed inputs (a non-finite boundary, an unknown pin) and
+            // STA machinery errors say nothing about whether the spec is
+            // achievable.
+            FlowError::Sta(_) | FlowError::UnknownPin { .. } => Err(()),
+            // Aborts, contained panics, lint rejections, malformed
+            // requests and sweep summaries describe one run, never the key.
+            FlowError::BudgetExceeded { .. }
+            | FlowError::Internal { .. }
+            | FlowError::Lint { .. }
+            | FlowError::InvalidRequest { .. }
+            | FlowError::NoFeasibleCandidate { .. } => Err(()),
+        }
+    }
+}
+
+impl From<CachedFailure> for FlowError {
+    fn from(f: CachedFailure) -> Self {
+        match f {
+            CachedFailure::InfeasibleCertificate {
+                constraints,
+                detail,
+            } => FlowError::InfeasibleCertificate {
+                constraints,
+                detail,
+            },
+            CachedFailure::GpInfeasible { worst_violation } => {
+                FlowError::Gp(GpError::Infeasible { worst_violation })
+            }
+            CachedFailure::GpUnbounded => FlowError::Gp(GpError::Unbounded),
+            CachedFailure::NoConvergence { measured, spec } => {
+                FlowError::NoConvergence { measured, spec }
+            }
+            CachedFailure::TooManyPaths { classes, limit } => {
+                FlowError::TooManyPaths { classes, limit }
+            }
+            CachedFailure::NoEndpoints => FlowError::NoEndpoints,
+        }
+    }
+}
+
+/// Content checksum of a stored failure, the counterpart of
+/// [`outcome_checksum`]. The leading domain tag keeps the two hash
+/// streams disjoint.
+fn failure_checksum(failure: &CachedFailure) -> u64 {
+    let mut h = StableHasher::new();
+    h.write_str("failure");
+    match failure {
+        CachedFailure::InfeasibleCertificate {
+            constraints,
+            detail,
+        } => {
+            h.write_u8(0);
+            h.write_usize(constraints.len());
+            for c in constraints {
+                h.write_str(c);
+            }
+            h.write_str(detail);
+        }
+        CachedFailure::GpInfeasible { worst_violation } => {
+            h.write_u8(1);
+            h.write_f64_bits(*worst_violation);
+        }
+        CachedFailure::GpUnbounded => h.write_u8(2),
+        CachedFailure::NoConvergence { measured, spec } => {
+            h.write_u8(3);
+            h.write_f64_bits(*measured);
+            h.write_f64_bits(*spec);
+        }
+        CachedFailure::TooManyPaths { classes, limit } => {
+            h.write_u8(4);
+            h.write_usize(*classes);
+            h.write_usize(*limit);
+        }
+        CachedFailure::NoEndpoints => h.write_u8(5),
+    }
+    h.finish()
+}
+
 /// Per-sweep hit/miss attribution sink, shared via `Arc` in
 /// [`SizingOptions::cache_stats`].
 ///
@@ -272,6 +437,7 @@ fn outcome_checksum(outcome: &SizingOutcome) -> u64 {
 #[derive(Debug, Default)]
 pub struct CacheStats {
     hits: AtomicUsize,
+    negative_hits: AtomicUsize,
     misses: AtomicUsize,
 }
 
@@ -290,9 +456,19 @@ impl CacheStats {
         }
     }
 
-    /// Hits recorded into this sink.
+    /// Records one lookup that replayed a stored failure.
+    pub fn record_negative_hit(&self) {
+        self.negative_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Hits (replayed successes) recorded into this sink.
     pub fn hits(&self) -> usize {
         self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Negative hits (replayed failures) recorded into this sink.
+    pub fn negative_hits(&self) -> usize {
+        self.negative_hits.load(Ordering::Relaxed)
     }
 
     /// Misses recorded into this sink.
@@ -301,7 +477,17 @@ impl CacheStats {
     }
 }
 
-/// A stored entry: the outcome, the checksum computed at insert time, and
+/// What an entry holds: a successful outcome or a replayable failure.
+type Answer = Result<SizingOutcome, CachedFailure>;
+
+fn answer_checksum(answer: &Answer) -> u64 {
+    match answer {
+        Ok(o) => outcome_checksum(o),
+        Err(f) => failure_checksum(f),
+    }
+}
+
+/// A stored entry: the answer, the checksum computed at insert time, and
 /// the recency stamp LRU eviction orders by.
 #[derive(Debug, Clone)]
 struct Entry {
@@ -309,7 +495,7 @@ struct Entry {
     /// Shard-local recency: bumped from the owning shard's tick on every
     /// verified hit, so eviction drops the least-recently-replayed entry.
     stamp: u64,
-    outcome: SizingOutcome,
+    answer: Answer,
 }
 
 /// One lock's worth of the cache: a map plus the monotonic recency tick
@@ -328,16 +514,26 @@ impl Shard {
     }
 }
 
-/// A thread-safe memoization store for successful sizing outcomes, shared
-/// via `Arc` in [`SizingOptions::cache`] — and, in the serve workload,
-/// across many concurrent requests.
+/// How one lookup ended, for the counters and the trace.
+#[derive(Clone, Copy, PartialEq)]
+enum Probe {
+    Hit,
+    NegativeHit,
+    Miss,
+}
+
+/// A thread-safe memoization store for sizing answers — successful
+/// outcomes and [`CachedFailure`]s in the same map — shared via `Arc` in
+/// [`SizingOptions::cache`] and, in the serve workload, across many
+/// concurrent requests.
 ///
 /// The map is split into shards keyed by a stable hash of the
 /// [`CacheKey`]; each shard has its own lock, so concurrent sweeps
 /// contend per shard instead of serializing on one mutex.
 /// [`SizingCache::new`] keeps the historical single-shard, unbounded
 /// configuration; [`SizingCache::bounded`] selects a shard count and an
-/// entry budget enforced by least-recently-used eviction.
+/// entry budget enforced by least-recently-used eviction over successes
+/// and failures alike.
 ///
 /// Every entry carries a content checksum computed at insert time and
 /// verified on every read; an entry that fails verification is evicted
@@ -348,7 +544,9 @@ impl Shard {
 ///
 /// Hit/miss counters are monotonic over the cache's lifetime and
 /// aggregate across all clients; per-sweep attribution uses a
-/// [`CacheStats`] sink instead.
+/// [`CacheStats`] sink instead. [`SizingCache::stats`] counts successes
+/// only; replayed failures have their own [`SizingCache::negative_hits`]
+/// counter.
 #[derive(Debug)]
 pub struct SizingCache {
     shards: Vec<Mutex<Shard>>,
@@ -357,6 +555,7 @@ pub struct SizingCache {
     /// never holds more than ~`budget + shards` entries.
     per_shard_budget: Option<usize>,
     hits: AtomicUsize,
+    negative_hits: AtomicUsize,
     misses: AtomicUsize,
     poisoned: AtomicUsize,
     evicted: AtomicUsize,
@@ -405,6 +604,7 @@ impl SizingCache {
             per_shard_budget: budget.map(|b| b.div_ceil(shards).max(1)),
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             hits: AtomicUsize::new(0),
+            negative_hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             poisoned: AtomicUsize::new(0),
             evicted: AtomicUsize::new(0),
@@ -436,44 +636,73 @@ impl SizingCache {
         self.guard(shard_of(key, self.shards.len()))
     }
 
-    /// Looks up `key`, counting the hit or miss. An entry whose stored
-    /// checksum no longer matches its content is *poisoned*: it is
-    /// evicted, counted, and the lookup reports a miss so the caller
-    /// recomputes. A verified hit refreshes the entry's LRU stamp.
-    pub fn lookup(&self, key: &CacheKey) -> Option<SizingOutcome> {
-        let found = {
-            let mut shard = self.shard_for(key);
-            let stamp = shard.next_stamp();
-            match shard.map.get_mut(key) {
-                Some(entry) if outcome_checksum(&entry.outcome) == entry.checksum => {
-                    entry.stamp = stamp;
-                    Some(entry.outcome.clone())
-                }
-                Some(_) => {
-                    shard.map.remove(key);
-                    self.poisoned.fetch_add(1, Ordering::Relaxed);
-                    smart_trace::counter("cache/poisoned", 1);
-                    smart_trace::emit_with("cache/poisoned", || {
-                        vec![("structure", format!("{:016x}", key.structure).into())]
-                    });
-                    None
-                }
-                None => None,
+    /// Reads the entry under `key`. An entry whose stored checksum no
+    /// longer matches its content is *poisoned*: it is evicted, counted,
+    /// and reads as absent so the caller recomputes. A verified entry
+    /// gets a fresh LRU stamp.
+    fn fetch(&self, key: &CacheKey) -> Option<Answer> {
+        let mut shard = self.shard_for(key);
+        let stamp = shard.next_stamp();
+        match shard.map.get_mut(key) {
+            Some(entry) if answer_checksum(&entry.answer) == entry.checksum => {
+                entry.stamp = stamp;
+                Some(entry.answer.clone())
             }
-        };
-        let hit = found.is_some();
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            Some(_) => {
+                shard.map.remove(key);
+                self.poisoned.fetch_add(1, Ordering::Relaxed);
+                smart_trace::counter("cache/poisoned", 1);
+                smart_trace::emit_with("cache/poisoned", || {
+                    vec![("structure", format!("{:016x}", key.structure).into())]
+                });
+                None
+            }
+            None => None,
         }
-        smart_trace::counter(if hit { "cache/hit" } else { "cache/miss" }, 1);
+    }
+
+    /// Counts one lookup and records it in the trace.
+    fn count(&self, key: &CacheKey, probe: Probe) {
+        let (counter, name) = match probe {
+            Probe::Hit => (&self.hits, "cache/hit"),
+            Probe::NegativeHit => (&self.negative_hits, "cache/negative-hit"),
+            Probe::Miss => (&self.misses, "cache/miss"),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        smart_trace::counter(name, 1);
         smart_trace::emit_with("cache/lookup", || {
             vec![
-                ("hit", hit.into()),
+                ("hit", (probe == Probe::Hit).into()),
+                ("negative", (probe == Probe::NegativeHit).into()),
                 ("structure", format!("{:016x}", key.structure).into()),
             ]
         });
+    }
+
+    /// Looks up the *successful* outcome under `key`, counting a hit or a
+    /// miss. A stored failure reads as a miss here: this is the
+    /// success-only view, for callers that re-verify cached sizings. The
+    /// sizing flow uses [`SizingCache::replay`], which also answers from
+    /// stored failures. Poisoned entries are evicted and read as misses.
+    pub fn lookup(&self, key: &CacheKey) -> Option<SizingOutcome> {
+        let found = self.fetch(key).and_then(Result::ok);
+        let probe = if found.is_some() { Probe::Hit } else { Probe::Miss };
+        self.count(key, probe);
+        found
+    }
+
+    /// Looks up the stored answer under `key`: `Some(Ok(_))` replays a
+    /// success (a hit), `Some(Err(_))` replays a deterministic failure as
+    /// the same [`FlowError`] the cold run returned (a negative hit),
+    /// `None` is a miss. Poisoned entries are evicted and read as misses.
+    pub fn replay(&self, key: &CacheKey) -> Option<Result<SizingOutcome, FlowError>> {
+        let found = self.fetch(key).map(|answer| answer.map_err(FlowError::from));
+        let probe = match &found {
+            Some(Ok(_)) => Probe::Hit,
+            Some(Err(_)) => Probe::NegativeHit,
+            None => Probe::Miss,
+        };
+        self.count(key, probe);
         found
     }
 
@@ -484,7 +713,18 @@ impl SizingCache {
     /// (the fresh insert carries the newest stamp, so it always survives
     /// its own admission).
     pub fn insert(&self, key: CacheKey, outcome: SizingOutcome) {
-        let checksum = outcome_checksum(&outcome);
+        self.admit(key, Ok(outcome));
+    }
+
+    /// Stores a deterministic failure under `key`, exactly like
+    /// [`SizingCache::insert`] stores a success: same shards, same
+    /// checksum discipline, same LRU budget.
+    pub fn insert_failure(&self, key: CacheKey, failure: CachedFailure) {
+        self.admit(key, Err(failure));
+    }
+
+    fn admit(&self, key: CacheKey, answer: Answer) {
+        let checksum = answer_checksum(&answer);
         let mut shard = self.shard_for(&key);
         let stamp = shard.next_stamp();
         shard.map.insert(
@@ -492,7 +732,7 @@ impl SizingCache {
             Entry {
                 checksum,
                 stamp,
-                outcome,
+                answer,
             },
         );
         if let Some(budget) = self.per_shard_budget {
@@ -526,22 +766,44 @@ impl SizingCache {
     pub fn corrupt(&self, key: &CacheKey) -> bool {
         match self.shard_for(key).map.get_mut(key) {
             Some(entry) => {
-                // Lowest mantissa bit: the value stays finite (so nothing
-                // downstream of a hypothetical undetected replay would
-                // panic instead of misbehave), but the checksum — which
-                // covers exact bit patterns — can no longer match.
-                let bits = entry.outcome.measured_delay.to_bits() ^ 1;
-                entry.outcome.measured_delay = f64::from_bits(bits);
+                match &mut entry.answer {
+                    // Lowest mantissa bit: the value stays finite (so
+                    // nothing downstream of a hypothetical undetected
+                    // replay would panic instead of misbehave), but the
+                    // checksum — which covers exact bit patterns — can no
+                    // longer match.
+                    Ok(o) => {
+                        o.measured_delay = f64::from_bits(o.measured_delay.to_bits() ^ 1);
+                    }
+                    // A failure may carry no payload at all (`NoEndpoints`),
+                    // so the stored checksum takes the flip instead; the
+                    // read-side verification is the same comparison.
+                    Err(_) => entry.checksum ^= 1,
+                }
                 true
             }
             None => false,
         }
     }
 
-    /// Entries currently stored (summed across shards; a racing insert
-    /// may be counted or not, like any concurrent size query).
+    /// Entries currently stored, successes and failures together (summed
+    /// across shards; a racing insert may be counted or not, like any
+    /// concurrent size query).
     pub fn len(&self) -> usize {
         (0..self.shards.len()).map(|i| self.guard(i).map.len()).sum()
+    }
+
+    /// Stored failures among [`SizingCache::len`]'s entries.
+    pub fn failure_entries(&self) -> usize {
+        (0..self.shards.len())
+            .map(|i| {
+                self.guard(i)
+                    .map
+                    .values()
+                    .filter(|e| e.answer.is_err())
+                    .count()
+            })
+            .sum()
     }
 
     /// Whether the cache holds no entries.
@@ -550,13 +812,19 @@ impl SizingCache {
     }
 
     /// Lifetime `(hits, misses)` counters, aggregated over every client
-    /// that ever used this cache. For per-sweep attribution use
-    /// [`CacheStats`].
+    /// that ever used this cache. Hits count replayed *successes* only;
+    /// replayed failures are [`SizingCache::negative_hits`]. For
+    /// per-sweep attribution use [`CacheStats`].
     pub fn stats(&self) -> (usize, usize) {
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
         )
+    }
+
+    /// Lifetime count of lookups answered from a stored failure.
+    pub fn negative_hits(&self) -> usize {
+        self.negative_hits.load(Ordering::Relaxed)
     }
 
     /// Lifetime count of entries evicted by checksum verification.
@@ -582,17 +850,18 @@ impl SizingCache {
     /// different shard count must still replay identically), every float
     /// as its 16-hex-digit `f64::to_bits` pattern (the checkpoint
     /// encoding), each entry carrying the content checksum that
-    /// [`SizingCache::restore`] re-verifies. Snapshot → restore →
-    /// snapshot is the identity on the bytes.
+    /// [`SizingCache::restore`] re-verifies. Successes carry the outcome
+    /// fields, failures a `"fail"` tag and their payload. Snapshot →
+    /// restore → snapshot is the identity on the bytes.
     pub fn snapshot(&self) -> String {
-        let mut entries: Vec<(CacheKey, u64, SizingOutcome)> = Vec::new();
+        let mut entries: Vec<(CacheKey, u64, Answer)> = Vec::new();
         for i in 0..self.shards.len() {
             let shard = self.guard(i);
             entries.extend(
                 shard
                     .map
                     .iter()
-                    .map(|(k, e)| (*k, e.checksum, e.outcome.clone())),
+                    .map(|(k, e)| (*k, e.checksum, e.answer.clone())),
             );
         }
         entries.sort_unstable_by_key(|(k, _, _)| {
@@ -606,8 +875,8 @@ impl SizingCache {
             )
         });
         let mut s = String::new();
-        s.push_str("{\"version\":1,\"kind\":\"sizing-cache\",\"entries\":[");
-        for (n, (key, checksum, outcome)) in entries.iter().enumerate() {
+        s.push_str(SNAPSHOT_HEADER);
+        for (n, (key, checksum, answer)) in entries.iter().enumerate() {
             if n > 0 {
                 s.push(',');
             }
@@ -622,7 +891,10 @@ impl SizingCache {
                 crate::persist::hex64(key.options),
                 crate::persist::hex64(*checksum),
             );
-            crate::persist::render_outcome_fields(&mut s, outcome);
+            match answer {
+                Ok(o) => crate::persist::render_outcome_fields(&mut s, o),
+                Err(f) => crate::persist::render_failure_fields(&mut s, f),
+            }
             s.push('}');
         }
         s.push_str("]}\n");
@@ -632,14 +904,15 @@ impl SizingCache {
     /// Restores entries from a [`SizingCache::snapshot`] string into this
     /// cache, returning how many were loaded. All-or-nothing: any
     /// deviation from the canonical form — truncation, a hand edit, an
-    /// entry whose stored checksum does not match its re-hashed content —
-    /// rejects the whole snapshot as `None` ("no snapshot"), mirroring
-    /// the checkpoint loader's policy, so damage can only ever cost warm
-    /// starts, never correctness. Restored entries go through the normal
-    /// insert path (budget eviction applies); counters are not touched.
+    /// entry whose stored checksum does not match its re-hashed content,
+    /// a snapshot of an older version — rejects the whole snapshot as
+    /// `None` ("no snapshot"), mirroring the checkpoint loader's policy,
+    /// so damage can only ever cost warm starts, never correctness.
+    /// Restored entries go through the normal insert path (budget
+    /// eviction applies); counters are not touched.
     pub fn restore(&self, text: &str) -> Option<usize> {
         let mut p = crate::persist::Parser::new(text);
-        p.lit("{\"version\":1,\"kind\":\"sizing-cache\",\"entries\":[")?;
+        p.lit(SNAPSHOT_HEADER)?;
         let mut entries = Vec::new();
         if !p.peek(']') {
             loop {
@@ -656,12 +929,16 @@ impl SizingCache {
                 p.lit("],\"sum\":\"")?;
                 let sum = p.hex_u64()?;
                 p.lit("\",")?;
-                let outcome = crate::persist::parse_outcome_fields(&mut p)?;
+                let answer: Answer = if p.starts_with("\"fail\"") {
+                    Err(crate::persist::parse_failure_fields(&mut p)?)
+                } else {
+                    Ok(crate::persist::parse_outcome_fields(&mut p)?)
+                };
                 p.lit("}")?;
                 // The checksum binds the snapshot bytes to the exact
-                // outcome content; a mismatch means damage (or tampering)
-                // and voids the whole file.
-                if outcome_checksum(&outcome) != sum {
+                // content; a mismatch means damage (or tampering) and
+                // voids the whole file.
+                if answer_checksum(&answer) != sum {
                     return None;
                 }
                 let key = CacheKey {
@@ -672,7 +949,7 @@ impl SizingCache {
                     boundary: dims[4],
                     options: dims[5],
                 };
-                entries.push((key, outcome));
+                entries.push((key, answer));
                 if !p.comma() {
                     break;
                 }
@@ -680,8 +957,8 @@ impl SizingCache {
         }
         p.lit("]}")?;
         let n = entries.len();
-        for (key, outcome) in entries {
-            self.insert(key, outcome);
+        for (key, answer) in entries {
+            self.admit(key, answer);
         }
         Some(n)
     }
@@ -698,6 +975,10 @@ impl SizingCache {
         self.restore(&std::fs::read_to_string(path).ok()?)
     }
 }
+
+/// Opening bytes of every snapshot. Version 2 added failure entries; a
+/// version-1 file (successes only) restores as "no snapshot".
+const SNAPSHOT_HEADER: &str = "{\"version\":2,\"kind\":\"sizing-cache\",\"entries\":[";
 
 #[cfg(test)]
 mod tests {
@@ -925,6 +1206,137 @@ mod tests {
             );
             assert!(fresh.is_empty(), "rejected snapshot must load nothing");
         }
+    }
+
+    /// One of every replayable failure, with payloads that exercise the
+    /// string escaping (quotes, backslashes, control characters) and
+    /// non-finite float bits.
+    fn failures() -> Vec<CachedFailure> {
+        vec![
+            CachedFailure::InfeasibleCertificate {
+                constraints: vec!["path0.0 a0 -> y0 (eval)".to_owned(), "q\"uo\\te".to_owned()],
+                detail: "constant terms of 'p' sum to 2.4 > 1\n\tand \u{1}".to_owned(),
+            },
+            CachedFailure::InfeasibleCertificate {
+                constraints: Vec::new(),
+                detail: String::new(),
+            },
+            CachedFailure::GpInfeasible {
+                worst_violation: 1.1195,
+            },
+            CachedFailure::GpUnbounded,
+            CachedFailure::NoConvergence {
+                measured: f64::INFINITY,
+                spec: 250.0,
+            },
+            CachedFailure::TooManyPaths {
+                classes: 50_000,
+                limit: 20_000,
+            },
+            CachedFailure::NoEndpoints,
+        ]
+    }
+
+    #[test]
+    fn failures_round_trip_through_flow_errors() {
+        for f in failures() {
+            let e = FlowError::from(f.clone());
+            assert_eq!(CachedFailure::try_from(&e), Ok(f));
+        }
+        for e in [
+            FlowError::BudgetExceeded {
+                what: "cancelled",
+                detail: "x".into(),
+            },
+            FlowError::Gp(GpError::Numerical {
+                stage: "phase1",
+                detail: "x".into(),
+            }),
+            FlowError::InvalidRequest {
+                what: "serve-request",
+                detail: "x".into(),
+            },
+            FlowError::Internal {
+                candidate: "x".into(),
+                panic_msg: "x".into(),
+            },
+        ] {
+            assert!(CachedFailure::try_from(&e).is_err(), "{e:?} must not be stored");
+        }
+    }
+
+    #[test]
+    fn v2_snapshot_with_failures_round_trips_byte_identically() {
+        let cache = SizingCache::bounded(4, None);
+        for n in 0..5 {
+            cache.insert(key(n), outcome(n as f64 + 1.5));
+        }
+        for (n, f) in failures().into_iter().enumerate() {
+            cache.insert_failure(key(100 + n as u64), f);
+        }
+        assert_eq!(cache.failure_entries(), failures().len());
+        let snap = cache.snapshot();
+        assert!(snap.starts_with("{\"version\":2,"), "{snap:.40}");
+        let warm = SizingCache::bounded(3, None);
+        assert_eq!(warm.restore(&snap), Some(5 + failures().len()));
+        assert_eq!(warm.snapshot(), snap, "snapshot → restore → snapshot must be identity");
+        for (n, f) in failures().into_iter().enumerate() {
+            let replayed = warm.replay(&key(100 + n as u64)).expect("restored failure");
+            let want = FlowError::from(f);
+            let got = replayed.expect_err("a failure replays as an error");
+            assert_eq!(got.to_string(), want.to_string());
+            assert_eq!(got.taxonomy(), want.taxonomy());
+        }
+        assert_eq!(warm.negative_hits(), failures().len());
+        // The success-only view never sees a failure entry.
+        assert!(warm.lookup(&key(100)).is_none());
+        assert_eq!(warm.stats(), (0, 1));
+    }
+
+    #[test]
+    fn v1_snapshots_restore_as_no_snapshot() {
+        let cache = SizingCache::new();
+        cache.insert(key(1), outcome(1.0));
+        let v1 = cache.snapshot().replacen("\"version\":2", "\"version\":1", 1);
+        let fresh = SizingCache::new();
+        assert!(fresh.restore(&v1).is_none());
+        assert!(fresh.is_empty());
+    }
+
+    #[test]
+    fn non_canonical_failure_text_restores_as_no_snapshot() {
+        let cache = SizingCache::new();
+        cache.insert_failure(
+            key(1),
+            CachedFailure::InfeasibleCertificate {
+                constraints: vec!["a".to_owned()],
+                detail: "tab\there".to_owned(),
+            },
+        );
+        let snap = cache.snapshot();
+        assert!(snap.contains("tab\\u0009here"), "{snap}");
+        for damaged in [
+            // Same text, different (non-canonical) escape.
+            snap.replace("\\u0009", "\\t"),
+            snap.replace("\\u0009", "\\u0041"),
+            snap.replace("\\u0009", "\t"),
+            snap.replace("\"fail\":\"certificate\"", "\"fail\":\"mystery\""),
+        ] {
+            assert!(SizingCache::new().restore(&damaged).is_none(), "{damaged}");
+        }
+    }
+
+    #[test]
+    fn failures_share_the_lru_budget_with_successes() {
+        let cache = SizingCache::bounded(1, Some(2));
+        cache.insert(key(1), outcome(1.0));
+        cache.insert_failure(key(2), CachedFailure::NoEndpoints);
+        assert!(cache.replay(&key(1)).is_some());
+        cache.insert_failure(key(3), CachedFailure::GpUnbounded);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.evicted(), 1);
+        assert!(cache.replay(&key(2)).is_none(), "the LRU failure is evicted");
+        assert!(cache.replay(&key(1)).is_some());
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //! candidates; a stale fingerprint is ignored wholesale — a checkpoint
 //! can never leak rows into a sweep it does not describe.
 //!
-//! Only successful rows are stored, mirroring the [`crate::SizingCache`]
-//! policy: failures may be budget- or timing-dependent and must be
-//! re-derived. Because the flow is deterministic, a resumed sweep is
-//! byte-identical to an uninterrupted one — the chaos suite's invariant
-//! (c).
+//! Only successful rows are stored. (The [`crate::SizingCache`] also
+//! stores deterministic failures; a resumed sweep recomputes its failed
+//! rows, which a shared cache then answers without re-solving.) Because
+//! the flow is deterministic, a resumed sweep is byte-identical to an
+//! uninterrupted one — the chaos suite's invariant (c).
 //!
 //! # File format
 //!

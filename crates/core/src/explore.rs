@@ -82,6 +82,11 @@ pub struct Exploration {
     /// samples were drawn afterwards — the cache-correctness suite pins
     /// the zero-traffic property.
     pub cache_hits: usize,
+    /// Sizing-cache negative hits attributable to this sweep: rows
+    /// answered from a stored deterministic failure
+    /// ([`crate::CachedFailure`]) instead of re-solved. Same exact
+    /// per-sweep attribution as [`Exploration::cache_hits`].
+    pub cache_negative_hits: usize,
     /// Sizing-cache misses attributable to this sweep (`0` without a
     /// cache). Same exact per-sweep attribution as
     /// [`Exploration::cache_hits`].
@@ -665,6 +670,10 @@ where
     let exploration = Exploration {
         candidates,
         cache_hits: opts.cache_stats.as_deref().map_or(0, crate::CacheStats::hits),
+        cache_negative_hits: opts
+            .cache_stats
+            .as_deref()
+            .map_or(0, crate::CacheStats::negative_hits),
         cache_misses: opts.cache_stats.as_deref().map_or(0, crate::CacheStats::misses),
         resumed: replayed.load(Ordering::Relaxed),
     };
@@ -673,6 +682,7 @@ where
         &[
             ("feasible", exploration.feasible_count().into()),
             ("cache_hits", exploration.cache_hits.into()),
+            ("cache_negative_hits", exploration.cache_negative_hits.into()),
             ("cache_misses", exploration.cache_misses.into()),
             ("resumed", exploration.resumed.into()),
         ],

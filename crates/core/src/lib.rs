@@ -75,7 +75,7 @@ pub mod tune;
 mod variation;
 
 pub use baseline::{baseline_sizing, BaselineMargins};
-pub use cache::{cache_key, CacheKey, CacheStats, SizingCache};
+pub use cache::{cache_key, CacheKey, CacheStats, CachedFailure, SizingCache};
 pub use checkpoint::{sweep_fingerprint, Checkpointer};
 pub use compact::{compact, CapVec, Compaction, PathClass};
 pub use error::FlowError;

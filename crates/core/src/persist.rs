@@ -12,6 +12,9 @@
 //! to read it. Keeping one renderer/parser pair here guarantees a
 //! checkpoint row and a cache entry serialize a [`SizingOutcome`]
 //! identically, so the byte-stability tests of either format cover both.
+//! Cache snapshots additionally carry stored failures
+//! ([`CachedFailure`]); their free-text payloads are JSON-escaped with
+//! one canonical escape per character, so they round-trip byte for byte.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -19,6 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use smart_netlist::Sizing;
 
+use crate::cache::CachedFailure;
 use crate::sizing::{CornerDelay, SizingOutcome};
 
 /// Canonical 16-hex-digit rendering of a `u64` (and, via `to_bits`, of an
@@ -198,6 +202,123 @@ pub(crate) fn parse_outcome_fields(p: &mut Parser<'_>) -> Option<SizingOutcome> 
     })
 }
 
+/// Appends `text` as a JSON string literal in canonical form: `"` and
+/// `\` backslash-escaped, other control characters as `\u00XX`,
+/// everything else verbatim. [`Parser::escaped`] accepts exactly this
+/// form.
+fn push_escaped(s: &mut String, text: &str) {
+    s.push('"');
+    for c in text.chars() {
+        match c {
+            '"' => s.push_str("\\\""),
+            '\\' => s.push_str("\\\\"),
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(s, "\\u{:04x}", u32::from(c));
+            }
+            c => s.push(c),
+        }
+    }
+    s.push('"');
+}
+
+/// Renders the canonical field sequence of one stored failure: a
+/// `"fail"` tag, then the variant's payload (floats as bit patterns,
+/// strings escaped) — no surrounding braces, like
+/// [`render_outcome_fields`].
+pub(crate) fn render_failure_fields(s: &mut String, failure: &CachedFailure) {
+    match failure {
+        CachedFailure::InfeasibleCertificate {
+            constraints,
+            detail,
+        } => {
+            s.push_str("\"fail\":\"certificate\",\"constraints\":[");
+            for (k, c) in constraints.iter().enumerate() {
+                if k > 0 {
+                    s.push(',');
+                }
+                push_escaped(s, c);
+            }
+            s.push_str("],\"detail\":");
+            push_escaped(s, detail);
+        }
+        CachedFailure::GpInfeasible { worst_violation } => {
+            let _ = write!(
+                s,
+                "\"fail\":\"gp-infeasible\",\"worst\":\"{}\"",
+                hex64(worst_violation.to_bits())
+            );
+        }
+        CachedFailure::GpUnbounded => s.push_str("\"fail\":\"gp-unbounded\""),
+        CachedFailure::NoConvergence { measured, spec } => {
+            let _ = write!(
+                s,
+                "\"fail\":\"no-convergence\",\"measured\":\"{}\",\"spec\":\"{}\"",
+                hex64(measured.to_bits()),
+                hex64(spec.to_bits())
+            );
+        }
+        CachedFailure::TooManyPaths { classes, limit } => {
+            let _ = write!(
+                s,
+                "\"fail\":\"paths\",\"classes\":{classes},\"limit\":{limit}"
+            );
+        }
+        CachedFailure::NoEndpoints => s.push_str("\"fail\":\"no-endpoints\""),
+    }
+}
+
+/// Parses the field sequence written by [`render_failure_fields`]. Any
+/// deviation yields `None` — "no data", never a panic.
+pub(crate) fn parse_failure_fields(p: &mut Parser<'_>) -> Option<CachedFailure> {
+    p.lit("\"fail\":\"")?;
+    let tag = p.take_while(|c| c != '"');
+    p.lit("\"")?;
+    Some(match tag {
+        "certificate" => {
+            p.lit(",\"constraints\":[")?;
+            let mut constraints = Vec::new();
+            if !p.peek(']') {
+                loop {
+                    constraints.push(p.escaped()?);
+                    if !p.comma() {
+                        break;
+                    }
+                }
+            }
+            p.lit("],\"detail\":")?;
+            let detail = p.escaped()?;
+            CachedFailure::InfeasibleCertificate {
+                constraints,
+                detail,
+            }
+        }
+        "gp-infeasible" => {
+            p.lit(",\"worst\":\"")?;
+            let worst_violation = p.hex_f64()?;
+            p.lit("\"")?;
+            CachedFailure::GpInfeasible { worst_violation }
+        }
+        "gp-unbounded" => CachedFailure::GpUnbounded,
+        "no-convergence" => {
+            p.lit(",\"measured\":\"")?;
+            let measured = p.hex_f64()?;
+            p.lit("\",\"spec\":\"")?;
+            let spec = p.hex_f64()?;
+            p.lit("\"")?;
+            CachedFailure::NoConvergence { measured, spec }
+        }
+        "paths" => {
+            p.lit(",\"classes\":")?;
+            let classes = p.number()?;
+            p.lit(",\"limit\":")?;
+            let limit = p.number()?;
+            CachedFailure::TooManyPaths { classes, limit }
+        }
+        "no-endpoints" => CachedFailure::NoEndpoints,
+        _ => return None,
+    })
+}
+
 /// A cursor over canonical persisted text.
 pub(crate) struct Parser<'a> {
     rest: &'a str,
@@ -217,6 +338,10 @@ impl<'a> Parser<'a> {
 
     pub(crate) fn peek(&self, c: char) -> bool {
         self.rest.starts_with(c)
+    }
+
+    pub(crate) fn starts_with(&self, s: &str) -> bool {
+        self.rest.starts_with(s)
     }
 
     pub(crate) fn comma(&mut self) -> bool {
@@ -256,5 +381,43 @@ impl<'a> Parser<'a> {
 
     pub(crate) fn hex_f64(&mut self) -> Option<f64> {
         self.hex_u64().map(f64::from_bits)
+    }
+
+    /// A string literal in the canonical form [`push_escaped`] writes;
+    /// any other escape, or a raw control character, is `None`.
+    pub(crate) fn escaped(&mut self) -> Option<String> {
+        self.lit("\"")?;
+        let mut out = String::new();
+        let mut chars = self.rest.char_indices();
+        loop {
+            let (i, c) = chars.next()?;
+            match c {
+                '"' => {
+                    self.rest = &self.rest[i + 1..];
+                    return Some(out);
+                }
+                '\\' => match chars.next()?.1 {
+                    '"' => out.push('"'),
+                    '\\' => out.push('\\'),
+                    'u' => {
+                        let start = i + 2;
+                        let hex = self.rest.get(start..start + 4)?;
+                        let code = u32::from_str_radix(hex, 16).ok()?;
+                        // Only control characters are written as `\u`,
+                        // and always as four lowercase digits.
+                        if code >= 0x20 || hex != format!("{code:04x}") {
+                            return None;
+                        }
+                        out.push(char::from_u32(code)?);
+                        for _ in 0..4 {
+                            chars.next()?;
+                        }
+                    }
+                    _ => return None,
+                },
+                c if u32::from(c) < 0x20 => return None,
+                c => out.push(c),
+            }
+        }
     }
 }

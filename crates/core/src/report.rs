@@ -165,11 +165,11 @@ pub fn exploration_report(table: &Exploration) -> String {
     if !table.failure_taxonomy().is_empty() {
         let _ = writeln!(out, "failures  : {:?}", table.failure_taxonomy());
     }
-    if table.cache_hits + table.cache_misses > 0 {
+    if table.cache_hits + table.cache_negative_hits + table.cache_misses > 0 {
         let _ = writeln!(
             out,
-            "cache     : {} hit(s), {} miss(es) this sweep",
-            table.cache_hits, table.cache_misses
+            "cache     : {} hit(s), {} negative hit(s), {} miss(es) this sweep",
+            table.cache_hits, table.cache_negative_hits, table.cache_misses
         );
     }
     out

@@ -19,6 +19,7 @@ use smart_models::ModelLibrary;
 use smart_netlist::{Circuit, Sizing};
 use smart_sta::{analyze, Boundary};
 
+use crate::cache::CachedFailure;
 use crate::compact::{compact, Compaction};
 use crate::constraints::{boundary_extra_loads, build_min_delay_gp, build_sizing_gp};
 use crate::{DelaySpec, FlowError, SizingOptions};
@@ -355,9 +356,10 @@ pub fn size_circuit(
     chaos_time_skew(opts)?;
 
     // Memoization: identical (structure, corner, spec, boundary, options)
-    // inputs produce identical outcomes — the flow is deterministic — so a
-    // hit replays the stored result without touching GP or STA. Only
-    // successful outcomes are cached (failures can be budget-dependent).
+    // inputs produce identical answers — the flow is deterministic — so a
+    // hit replays the stored result without touching GP or STA. Successes
+    // and deterministic failures (`CachedFailure`: "this spec is
+    // unachievable" is an answer too) are stored; aborts never are.
     let memo = opts
         .cache
         .as_ref()
@@ -380,18 +382,50 @@ pub fn size_circuit(
                 ]);
             }
         }
-        let found = cache.lookup(key);
+        let found = cache.replay(key);
         // Per-sweep attribution: the cache's own counters aggregate over
         // every concurrent client, so the sweep-owned sink is the only
         // exact record of *this* flow's traffic.
         if let Some(stats) = opts.cache_stats.as_deref() {
-            stats.record(found.is_some());
+            match &found {
+                Some(Err(_)) => stats.record_negative_hit(),
+                other => stats.record(other.is_some()),
+            }
         }
-        if let Some(outcome) = found {
-            return Ok(outcome);
+        if let Some(answer) = found {
+            return answer;
         }
     }
 
+    let answer = size_uncached(circuit, lib, boundary, spec, opts, deadline);
+    if let Some((cache, key)) = &memo {
+        match &answer {
+            Ok(outcome) => cache.insert(*key, outcome.clone()),
+            // Under a chaos plan an injected fault can look exactly like
+            // a deterministic failure (the STA seam raises `NoEndpoints`),
+            // so such a run stores no failure at all.
+            Err(e) if opts.chaos.is_none() => {
+                if let Ok(failure) = CachedFailure::try_from(e) {
+                    cache.insert_failure(*key, failure);
+                }
+            }
+            Err(_) => {}
+        }
+    }
+    answer
+}
+
+/// [`size_circuit`] past the cache: compaction, then the relaxation
+/// ladder of Fig.-4 loops. Every error from here on — `prepare`'s early
+/// returns included — is a candidate for the failure memo.
+fn size_uncached(
+    circuit: &Circuit,
+    lib: &ModelLibrary,
+    boundary: &Boundary,
+    spec: &DelaySpec,
+    opts: &SizingOptions,
+    deadline: Option<ClockInstant>,
+) -> Result<SizingOutcome, FlowError> {
     let prepared = prepare(circuit, lib, boundary, opts)?;
 
     let mut last_err = None;
@@ -408,9 +442,6 @@ pub fn size_circuit(
             Ok(mut outcome) => {
                 smart_trace::end("size/rung", &[("outcome", "ok".into())]);
                 outcome.spec_relaxation = rel;
-                if let Some((cache, key)) = &memo {
-                    cache.insert(*key, outcome.clone());
-                }
                 return Ok(outcome);
             }
             Err(e) if relaxable(&e) => {

@@ -149,8 +149,7 @@ pub enum AuditGate {
     /// Run interval bound propagation and abort with
     /// [`crate::FlowError::InfeasibleCertificate`] when the analyzer
     /// proves the GP infeasible (the default — a certified-infeasible
-    /// spec must not burn Newton iterations, retry-ladder restarts, or
-    /// cache slots).
+    /// spec must not burn Newton iterations or retry-ladder restarts).
     #[default]
     Certificates,
     /// Certificates plus dominance pruning: constraints proven redundant
@@ -235,10 +234,12 @@ pub struct SizingOptions {
     /// Optional sizing memoization cache, shared across runs (and across
     /// the threads of a parallel sweep) via `Arc`. When set,
     /// [`crate::size_circuit`] first looks up the (structural hash,
-    /// quantized spec, boundary, options) key and returns the cached
-    /// [`crate::SizingOutcome`] on a hit — repeated topologies across
-    /// sweep points skip the whole GP/STA loop. `None` (the default)
-    /// disables memoization.
+    /// quantized spec, boundary, options) key and replays the stored
+    /// answer on a hit — a [`crate::SizingOutcome`], or a deterministic
+    /// failure ([`crate::CachedFailure`]) as the same typed error the
+    /// cold run returned — so repeated topologies across sweep points
+    /// skip the whole GP/STA loop. `None` (the default) disables
+    /// memoization.
     pub cache: Option<Arc<SizingCache>>,
     /// Per-sweep cache-statistics sink: when set, every cache lookup this
     /// options value performs is also recorded here, so a sweep sharing
@@ -257,11 +258,10 @@ pub struct SizingOptions {
     pub lint: LintGate,
     /// Pre-solve static analysis of each constructed GP (`smart-audit`):
     /// infeasibility certificates by default, dominance pruning opt-in,
-    /// or fully off for ablation. Excluded from the sizing-cache
-    /// fingerprint exactly like `trace`: certificates only ever *abort*
-    /// candidates (aborts are never cached), and pruning is
-    /// feasible-set-preserving (the CI prune-parity suite pins it), so
-    /// the gate must never fork the cache key space.
+    /// or fully off for ablation. Part of the sizing-cache fingerprint:
+    /// a certified-infeasible spec is stored as a certificate, while the
+    /// same spec with the gate off fails in the solver with different
+    /// text, so the gates must never share stored failures.
     pub audit: AuditGate,
     /// Structured tracing collector for the explore → size → GP → STA
     /// flow (`smart-trace`). The default reads the `SMART_TRACE`
@@ -275,7 +275,8 @@ pub struct SizingOptions {
     /// current candidate and injects the planned fault. `None` (the
     /// default) is the production configuration: the seams cost one
     /// `Option` branch each. Excluded from the sizing-cache fingerprint:
-    /// faults abort candidates, they never steer a successful outcome.
+    /// faults abort candidates, they never steer a successful outcome —
+    /// and a run with a plan attached stores no failures in the cache.
     pub chaos: Option<Arc<FaultPlan>>,
     /// Process corners the sizing must satisfy simultaneously. `None`
     /// (the default) is the historical single-corner flow: constraints

@@ -1,6 +1,7 @@
 //! The audit gate's cost contract: a spec the static analyzer certifies
 //! infeasible must abort *before* the solver — zero GP Newton steps,
-//! zero retry restarts, zero cache insertions — and the certificate must
+//! zero retry restarts — and be stored once as a failure entry that a
+//! repeat replays without even compacting paths; the certificate must
 //! re-verify by plain interval evaluation, independent of the flow that
 //! produced it. Plus the relaxation-ladder short-circuit: rungs whose
 //! certificate survives the relaxed spec are skipped without burning a
@@ -15,6 +16,7 @@ use smart_core::{
 use smart_macros::MacroSpec;
 use smart_models::{label_vars, ModelLibrary};
 use smart_sta::Boundary;
+use smart_trace::Trace;
 
 fn incrementor() -> smart_netlist::Circuit {
     MacroSpec::Incrementor { width: 8 }.generate()
@@ -34,7 +36,7 @@ fn impossible() -> DelaySpec {
 }
 
 #[test]
-fn certificate_aborts_with_zero_newton_steps_and_zero_cache_traffic() {
+fn certificate_aborts_with_zero_newton_steps_and_is_stored_once() {
     let circuit = incrementor();
     let lib = ModelLibrary::reference();
     let boundary = boundary();
@@ -57,13 +59,34 @@ fn certificate_aborts_with_zero_newton_steps_and_zero_cache_traffic() {
     assert_eq!(err.taxonomy(), "infeasible");
 
     // Cache traffic: exactly the one unavoidable entry probe (a miss),
-    // no hit, no stored entry, nothing poisoned — a certified candidate
-    // never pollutes the memoization store.
+    // no hit, nothing poisoned — and the certificate is the answer for
+    // this key, so it is stored as exactly one failure entry.
     let (hits, misses) = cache.stats();
     assert_eq!(hits, 0, "a certified-infeasible run must never hit");
     assert_eq!(misses, 1, "exactly the entry lookup probe");
-    assert!(cache.is_empty(), "aborts must never be inserted");
+    assert_eq!(cache.len(), 1, "the certificate is stored once");
+    assert_eq!(cache.failure_entries(), 1);
     assert_eq!(cache.poisoned(), 0);
+
+    // A repeat replays the stored certificate: the same typed error with
+    // the same text, one negative hit, and no compaction at all.
+    let trace = Trace::enabled();
+    let scope = trace.scope("test", trace.next_id(), 0);
+    let entered = scope.enter();
+    let again = size_circuit(&circuit, &lib, &boundary, &impossible(), &opts).unwrap_err();
+    drop(entered);
+    drop(scope);
+    assert_eq!(again, err);
+    assert_eq!(again.to_string(), err.to_string());
+    assert_eq!(cache.negative_hits(), 1);
+    assert_eq!(cache.stats(), (0, 1), "a replayed failure is neither hit nor miss");
+    let report = trace.collect();
+    assert_eq!(report.counter("cache/negative-hit"), 1);
+    assert_eq!(
+        report.events_named("size/compact").count(),
+        0,
+        "a replayed certificate must not re-run the flow"
+    );
 
     // Control: with the gate off the same zero-iteration budget *is*
     // tripped — proof the default gate spared real Newton work.

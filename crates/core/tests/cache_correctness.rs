@@ -7,8 +7,8 @@
 use std::sync::Arc;
 
 use smart_core::{
-    cache_key, explore_with_parallel, size_circuit, variation_sweep, DelaySpec, ParallelOptions,
-    SizingCache, SizingOptions, SizingOutcome, VariationOptions,
+    cache_key, explore_with_parallel, size_circuit, variation_sweep, AuditGate, DelaySpec,
+    FlowError, ParallelOptions, SizingCache, SizingOptions, SizingOutcome, VariationOptions,
 };
 use smart_macros::{MacroSpec, MuxTopology};
 use smart_models::ModelLibrary;
@@ -425,4 +425,129 @@ fn variation_sweep_performs_zero_sizing_cache_traffic() {
         "variation re-measures must not touch the sizing cache"
     );
     assert_eq!(cache.len(), 1, "no new entries either");
+}
+
+#[test]
+fn every_audit_gate_keys_separately() {
+    // A stored certificate must never replay to a request whose gate
+    // would have answered differently (`Off` fails in the solver, with
+    // other text), so each gate is its own key population.
+    let circuit = mux(MuxTopology::StronglyMutexedPass).generate();
+    let b = boundary(15.0);
+    let spec = DelaySpec::uniform(400.0);
+    let lib = ModelLibrary::reference();
+    let keys: Vec<_> = [AuditGate::Certificates, AuditGate::Prune, AuditGate::Off]
+        .into_iter()
+        .map(|audit| {
+            let opts = SizingOptions {
+                audit,
+                ..SizingOptions::default()
+            };
+            cache_key(&circuit, &lib, &b, &spec, &opts)
+        })
+        .collect();
+    assert_ne!(keys[0], keys[1], "Certificates vs Prune");
+    assert_ne!(keys[0], keys[2], "Certificates vs Off");
+    assert_ne!(keys[1], keys[2], "Prune vs Off");
+}
+
+/// A zero-detector spec the audit cannot certify but the GP solver finds
+/// infeasible: the uncertified, expensive kind of failure.
+fn gp_infeasible() -> (smart_netlist::Circuit, Boundary, DelaySpec) {
+    let circuit = MacroSpec::parse("zd16").expect("grammar macro").generate();
+    let mut b = Boundary::default();
+    for p in circuit.output_ports() {
+        b.output_loads.insert(p.name.clone(), 8.0);
+    }
+    (circuit, b, DelaySpec::uniform(250.0))
+}
+
+#[test]
+fn budget_aborts_are_never_stored_and_the_real_answer_follows() {
+    let lib = ModelLibrary::reference();
+    let (circuit, b, spec) = gp_infeasible();
+    let cold = size_circuit(&circuit, &lib, &b, &spec, &SizingOptions::default())
+        .expect_err("fixture spec is infeasible");
+    assert!(
+        matches!(cold, FlowError::Gp(smart_gp::GpError::Infeasible { .. })),
+        "fixture must fail in the solver, not the audit: {cold:?}"
+    );
+
+    // Budgets are not part of the key, so a stored budget row would
+    // replay to every later unlimited request: none may be stored.
+    let cache = Arc::new(SizingCache::new());
+    let mut tight = with_cache(&cache);
+    tight.budget.max_gp_iters = Some(1);
+    let aborted = size_circuit(&circuit, &lib, &b, &spec, &tight).expect_err("budget");
+    assert_eq!(aborted.taxonomy(), "budget", "{aborted:?}");
+    assert!(cache.is_empty(), "a budget abort must never be stored");
+
+    let unlimited = with_cache(&cache);
+    let real = size_circuit(&circuit, &lib, &b, &spec, &unlimited).expect_err("infeasible");
+    assert_eq!(real, cold, "the unlimited request must get the real answer");
+    assert_eq!(real.to_string(), cold.to_string());
+    assert_eq!(cache.failure_entries(), 1);
+    let replayed = size_circuit(&circuit, &lib, &b, &spec, &unlimited).expect_err("replay");
+    assert_eq!(replayed.to_string(), cold.to_string(), "byte-identical replay");
+    assert_eq!(cache.negative_hits(), 1);
+
+    // The same holds for a feasible spec: abort first, then the sizing.
+    let easy = DelaySpec::uniform(900.0);
+    let aborted = size_circuit(&circuit, &lib, &b, &easy, &tight).expect_err("budget");
+    assert_eq!(aborted.taxonomy(), "budget");
+    let sized = size_circuit(&circuit, &lib, &b, &easy, &unlimited).expect("feasible");
+    let reference =
+        size_circuit(&circuit, &lib, &b, &easy, &SizingOptions::default()).expect("feasible");
+    assert_bitwise_equal(&sized, &reference, "sizing after a budget abort");
+}
+
+#[test]
+fn cancelled_and_panicking_runs_store_nothing() {
+    // Cancellation races the solve from another thread; wherever it
+    // lands, a cancelled run leaves nothing behind, and the next request
+    // gets the real answer.
+    let lib = ModelLibrary::reference();
+    let (circuit, b, spec) = gp_infeasible();
+    let cold = size_circuit(&circuit, &lib, &b, &spec, &SizingOptions::default())
+        .expect_err("fixture spec is infeasible");
+    let cache = Arc::new(SizingCache::new());
+    let token = Arc::new(smart_gp::CancelToken::new());
+    let mut cancellable = with_cache(&cache);
+    cancellable.budget.cancel = Some(Arc::clone(&token));
+    let raced = std::thread::scope(|s| {
+        s.spawn(|| token.cancel());
+        size_circuit(&circuit, &lib, &b, &spec, &cancellable)
+    });
+    match raced {
+        Err(FlowError::BudgetExceeded { what: "cancelled", .. }) => {
+            assert!(cache.is_empty(), "a cancelled run must never be stored");
+        }
+        // The solve beat the cancel: then it is the real answer.
+        other => assert_eq!(other.expect_err("infeasible"), cold),
+    }
+    let real = size_circuit(&circuit, &lib, &b, &spec, &with_cache(&cache)).expect_err("real");
+    assert_eq!(real, cold);
+
+    // A panic after the cache lookup (an illegal pinned width trips a
+    // GP-construction assertion) is contained as a `panic` row and
+    // stores nothing.
+    let specs = vec![mux(MuxTopology::StronglyMutexedPass)];
+    let first_label = specs[0].generate().labels().iter().next().map(|(_, n)| n.to_owned());
+    let cache = Arc::new(SizingCache::new());
+    let mut opts = with_cache(&cache);
+    opts.pinned
+        .insert(first_label.expect("mux has labels"), -1.0);
+    let table = explore_with_parallel(
+        specs,
+        MacroSpec::generate,
+        &lib,
+        &boundary(15.0),
+        &DelaySpec::uniform(400.0),
+        &opts,
+        &ParallelOptions::serial(),
+    );
+    let row = table.candidates[0].result.as_ref().expect_err("panics");
+    assert_eq!(row.taxonomy(), "panic", "{row:?}");
+    assert_eq!(cache.stats(), (0, 1), "the lookup ran before the panic");
+    assert!(cache.is_empty(), "a panic row must never be stored");
 }

@@ -259,6 +259,41 @@ fn cache_faults_are_absorbed_with_byte_identical_results() {
     );
 }
 
+/// A run with a chaos plan stores no failure at all: the STA seam injects
+/// `NoEndpoints`, which is indistinguishable from the deterministic
+/// failure of a genuinely unmeasurable macro, and a stored injection
+/// would replay into every later fault-free request for that key.
+#[test]
+fn chaos_runs_store_no_failure_entries() {
+    let specs = mux_specs(6);
+    let plan = Arc::new(FaultPlan::new(11).with_rate(FaultSite::StaNoEndpoints, 1.0));
+    let cache = Arc::new(SizingCache::new());
+    let mut opts = SizingOptions::default();
+    opts.cache = Some(cache.clone());
+    opts.chaos = Some(plan.clone());
+    let chaotic = sweep(&specs, &opts, 2);
+
+    let injected = chaotic
+        .candidates
+        .iter()
+        .filter(|c| matches!(c.result, Err(FlowError::NoEndpoints)))
+        .count();
+    assert!(injected > 0, "no NoEndpoints fault manifested — vacuous test");
+    assert_eq!(cache.failure_entries(), 0, "a chaos run stored a failure");
+
+    // The same shared cache then serves a fault-free sweep exactly like a
+    // fresh one would.
+    let mut clean_opts = SizingOptions::default();
+    clean_opts.cache = Some(cache.clone());
+    let mut fresh_opts = SizingOptions::default();
+    fresh_opts.cache = Some(Arc::new(SizingCache::new()));
+    assert_eq!(
+        render(&sweep(&specs, &clean_opts, 2)),
+        render(&sweep(&specs, &fresh_opts, 2)),
+        "an injected fault leaked into a later fault-free sweep"
+    );
+}
+
 /// Invariant (c): interrupt (candidate-budget exhaustion) + resume from
 /// checkpoint == one uninterrupted sweep, byte for byte; the resumed run
 /// recomputes only what the checkpoint is missing.
@@ -435,6 +470,36 @@ fn poisoned_cache_entry_is_evicted_and_recomputed() {
     let third = size_circuit(&circuit, &lib, &boundary, &delay, &opts).expect("hits");
     assert_eq!(cache.stats().0, hits_before + 1);
     assert_eq!(third.total_width.to_bits(), first.total_width.to_bits());
+}
+
+/// A corrupted *failure* entry is caught by the same checksum: evicted,
+/// counted as poisoned, and the failure recomputed with the same text.
+#[test]
+fn poisoned_failure_entry_is_evicted_and_recomputed() {
+    let spec = MacroSpec::Incrementor { width: 8 };
+    let circuit = spec.generate();
+    let boundary = boundary_for(std::slice::from_ref(&spec), 15.0);
+    // Below one gate's intrinsic delay: the audit certifies it.
+    let delay = DelaySpec::uniform(5.0);
+    let lib = ModelLibrary::reference();
+    let cache = Arc::new(SizingCache::new());
+    let mut opts = SizingOptions::default();
+    opts.cache = Some(cache.clone());
+
+    let first = size_circuit(&circuit, &lib, &boundary, &delay, &opts).expect_err("infeasible");
+    assert_eq!(cache.failure_entries(), 1, "the failure must be stored");
+    let key = cache_key(&circuit, &lib, &boundary, &delay, &opts);
+    assert!(cache.corrupt(&key), "entry must exist to corrupt");
+
+    let second = size_circuit(&circuit, &lib, &boundary, &delay, &opts).expect_err("recomputes");
+    assert_eq!(cache.poisoned(), 1, "corruption must be detected exactly once");
+    assert_eq!(cache.negative_hits(), 0, "a poisoned entry must never replay");
+    assert_eq!(second.to_string(), first.to_string());
+
+    // The recompute stored a healthy entry again: the third call replays.
+    let third = size_circuit(&circuit, &lib, &boundary, &delay, &opts).expect_err("replays");
+    assert_eq!(cache.negative_hits(), 1);
+    assert_eq!(third, first);
 }
 
 /// Satellite: a panic *inside a lint rule* is contained at the candidate

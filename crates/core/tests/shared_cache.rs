@@ -8,7 +8,8 @@
 use std::sync::Arc;
 
 use smart_core::{
-    explore_parallel, exploration_report, DelaySpec, ParallelOptions, SizingCache, SizingOptions,
+    explore_parallel, exploration_report, CachedFailure, DelaySpec, ParallelOptions, SizingCache,
+    SizingOptions,
 };
 use smart_macros::{MacroSpec, MuxTopology, ZeroDetectStyle};
 use smart_models::ModelLibrary;
@@ -28,8 +29,11 @@ struct SweepResult {
     /// legitimately reflects how warm the shared cache was.
     report: String,
     hits: usize,
+    negative_hits: usize,
     misses: usize,
     feasible: usize,
+    /// Failed rows whose error the cache stores ([`CachedFailure`]).
+    memoizable_failures: usize,
 }
 
 fn strip_stats(report: &str) -> String {
@@ -58,8 +62,18 @@ fn sweep(spec: &MacroSpec, cache: &Arc<SizingCache>, workers: usize) -> SweepRes
     SweepResult {
         report: strip_stats(&exploration_report(&table)),
         hits: table.cache_hits,
+        negative_hits: table.cache_negative_hits,
         misses: table.cache_misses,
         feasible: table.feasible_count(),
+        memoizable_failures: table
+            .candidates
+            .iter()
+            .filter(|c| {
+                c.result
+                    .as_ref()
+                    .is_err_and(|e| CachedFailure::try_from(e).is_ok())
+            })
+            .count(),
     }
 }
 
@@ -135,14 +149,16 @@ fn same_macro_races_keep_attribution_exact() {
     assert_eq!(a.misses + b.misses, misses);
 }
 
-/// Warm racing sweeps over a pre-populated cache are all-hit and
-/// byte-identical to the cold run — the daemon's steady state.
+/// Warm racing sweeps over a pre-populated cache never miss and are
+/// byte-identical to the cold run — the daemon's steady state: every
+/// success replays as a hit, every stored failure as a negative hit.
 #[test]
 fn warm_racing_sweeps_are_all_hits_with_identical_bytes() {
     let shared = Arc::new(SizingCache::bounded(4, None));
     let cold = sweep(&mux8(), &shared, 1);
-    // Only successful outcomes are cached; failed rows re-solve warm.
-    let cold_lookups = cold.hits + cold.misses;
+    assert!(cold.memoizable_failures > 0, "fixture must have failed rows");
+    assert_eq!(cold.hits + cold.negative_hits, 0, "cold sweep replays nothing");
+    assert_eq!(cold.misses, cold.feasible + cold.memoizable_failures);
 
     let (a, b) = std::thread::scope(|s| {
         let a = s.spawn(|| sweep(&mux8(), &shared, 2));
@@ -153,10 +169,10 @@ fn warm_racing_sweeps_are_all_hits_with_identical_bytes() {
         assert_eq!(warm.report, cold.report);
         assert_eq!(warm.hits, cold.feasible, "every cached success replays");
         assert_eq!(
-            warm.misses,
-            cold_lookups - cold.feasible,
-            "only uncached failures re-solve"
+            warm.negative_hits, cold.memoizable_failures,
+            "every stored failure replays"
         );
+        assert_eq!(warm.misses, 0, "nothing re-solves warm");
     }
 }
 
@@ -177,7 +193,14 @@ fn snapshot_restart_replay_is_byte_identical() {
     let warm = sweep(&zd16(), &warm_cache, 2);
     assert_eq!(warm.report, cold.report);
     assert_eq!(warm.hits, cold.feasible, "every snapshotted success replays");
-    assert_eq!(warm.misses, cold_lookups - cold.feasible);
+    assert_eq!(
+        warm.negative_hits, cold.memoizable_failures,
+        "every snapshotted failure replays"
+    );
+    assert_eq!(
+        warm.misses,
+        cold_lookups - cold.feasible - cold.memoizable_failures
+    );
     assert_eq!(warm_cache.snapshot(), snap, "restart must be lossless");
 }
 

@@ -11,10 +11,11 @@
 //!
 //! Responses to the *work* ops (`size`, `explore`, `batch`) are pure
 //! functions of the request: the shared [`SizingCache`] only ever replays
-//! checksum-verified successful outcomes, so a warm cache changes
-//! latency, never bytes. Observability fields that would break replay
-//! comparison (global hit counters, timings) live in the `stats` op, not
-//! in work responses. The CI smoke byte-compares full response streams
+//! checksum-verified answers — successful outcomes and deterministic
+//! failures, each rendered exactly as its cold computation was — so a
+//! warm cache changes latency, never bytes. Observability fields that
+//! would break replay comparison (global hit counters, timings) live in
+//! the `stats` op, not in work responses. The CI smoke byte-compares full response streams
 //! across `SMART_WORKERS=1/4` and across cold/warm restarts.
 
 use std::collections::HashMap;
@@ -471,8 +472,10 @@ impl Advisor {
         let mut s = ok_head("stats", id);
         let _ = write!(
             s,
-            ",\"entries\":{},\"hits\":{hits},\"misses\":{misses},\"poisoned\":{},\"evicted\":{},\"shards\":{}",
+            ",\"entries\":{},\"failure_entries\":{},\"hits\":{hits},\"negative_hits\":{},\"misses\":{misses},\"poisoned\":{},\"evicted\":{},\"shards\":{}",
             self.cache.len(),
+            self.cache.failure_entries(),
+            self.cache.negative_hits(),
             self.cache.poisoned(),
             self.cache.evicted(),
             self.cache.shard_count(),

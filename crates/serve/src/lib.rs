@@ -14,9 +14,10 @@
 //!   `cancel`, `shutdown`.
 //! * **Shared sizing cache** — one sharded [`smart_core::SizingCache`]
 //!   (per-shard locks, LRU eviction under a configurable entry budget)
-//!   serves every client and request; `snapshot`/`restore` persist it
-//!   with the checkpoint float-bit-pattern encoding so a warm restart
-//!   replays byte-identically.
+//!   serves every client and request, answering repeats of feasible
+//!   *and* infeasible specs without re-solving; `snapshot`/`restore`
+//!   persist it with the checkpoint float-bit-pattern encoding so a warm
+//!   restart replays byte-identically.
 //! * **Admission control** — bounded in-flight work plus per-request
 //!   [`smart_core::FlowBudget`]s (wall clock, GP iterations, candidate
 //!   caps) so one runaway request degrades to a typed `budget` row, not

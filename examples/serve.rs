@@ -25,6 +25,7 @@ const SCRIPT: &str = r#"
 {"op":"batch","id":"r2","requests":[{"macro":"zd16:domino"},{"macro":"mux8:dom","load":20,"delay":320},{"macro":"inc8","delay":400}]}
 {"op":"cancel","id":"r3"}
 {"op":"size","id":"r3","macro":"mux4"}
+{"op":"size","id":"r5","macro":"inc8","delay":5}
 {"op":"stats","id":"r4"}
 "#;
 
@@ -68,8 +69,11 @@ fn main() {
         "warm restart must replay byte-identically"
     );
     assert_eq!(warm.cache().snapshot(), snapshot, "restart is lossless");
+    // Successes replay as hits, stored failures as negative hits.
     let (hits, _) = warm.cache().stats();
+    let replayed = hits + warm.cache().negative_hits();
+    assert!(replayed >= warm.cache().len(), "every restored entry replays");
     println!(
-        "warm restart: {restored} entries restored, {hits} replayed from cache, replies byte-identical"
+        "warm restart: {restored} entries restored, {replayed} replayed from cache, replies byte-identical"
     );
 }
