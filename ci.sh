@@ -179,7 +179,7 @@ echo "== clippy (no unwrap/expect in flow crates, pool/cache included) =="
 cargo clippy -q --offline -p smart-core -p smart-gp -p smart-lint -p smart-trace \
   -p smart-sta -p smart-models -p smart-posy -p smart-chaos -p smart-prng \
   -p smart-audit -p smart-netlist -p smart-sim -p smart-power -p smart-blocks \
-  -p smart-macros -p smart-bench -p smart-serve -- \
+  -p smart-macros -p smart-bench -p smart-serve -p smart-datapath -- \
   -D clippy::unwrap_used -D clippy::expect_used
 
 echo "CI OK"

@@ -132,7 +132,8 @@ mod tests {
     #[test]
     fn alu_lints_clean_and_scales() {
         let a4 = alu_slice(4);
-        assert!(a4.lint().is_empty(), "{:?}", a4.lint());
+        let issues = smart_lint::lint_circuit(&a4).structural();
+        assert!(issues.is_empty(), "{issues:?}");
         let a8 = alu_slice(8);
         assert!(a8.device_count() > a4.device_count());
         // Port shape.

@@ -19,13 +19,13 @@
 //!   sneak paths, multi-driver contention, pass-chain depth,
 //!   floating/undriven nets.
 //!
-//! The four historical checks of `smart_netlist::drc` live on here as
-//! rules `SL001`–`SL004`; [`compat::methodology_check`] reproduces the
-//! old API verbatim for callers that still want `DrcIssue` values.
+//! This is the only electrical-rule checker in the workspace: the
+//! methodology checks (`SL001`–`SL004`) and the structural connectivity
+//! checks (`SL102`, `SL107`–`SL110`) are ordinary rules in the same
+//! registry, so every caller asks [`lint_circuit`].
 
 #![warn(missing_docs)]
 
-pub mod compat;
 pub mod dataflow;
 mod engine;
 mod report;

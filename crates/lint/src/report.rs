@@ -29,6 +29,17 @@ impl LintReport {
         self.errors() > 0
     }
 
+    /// The findings of the [`STRUCTURAL_RULES`](crate::rules::STRUCTURAL_RULES)
+    /// — the "is this netlist well-formed" subset. A generated macro or a
+    /// composed block must have none.
+    pub fn structural(&self) -> Vec<Finding> {
+        self.findings
+            .iter()
+            .filter(|f| crate::rules::STRUCTURAL_RULES.contains(&f.rule))
+            .cloned()
+            .collect()
+    }
+
     fn count(&self, sev: Severity) -> usize {
         self.findings.iter().filter(|f| f.severity == sev).count()
     }

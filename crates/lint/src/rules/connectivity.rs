@@ -1,6 +1,5 @@
-//! `SL107`–`SL110`: structural connectivity rules (the conditions
-//! `Circuit::lint` reports, re-expressed as engine findings with names
-//! instead of ids).
+//! `SL107`–`SL110`: structural connectivity rules — floating nets,
+//! undriven outputs, always-on driver conflicts and unbound size labels.
 
 use smart_netlist::Circuit;
 
@@ -52,8 +51,8 @@ pub(crate) fn check_undriven_outputs(circuit: &Circuit, _cfg: &LintConfig, out: 
 
 /// `SL109`: several always-on drivers on one net. The mixed
 /// restoring-plus-shared case is `SL102`'s sneak path; this rule covers
-/// the all-restoring conflict, so together they partition the legacy
-/// `DriverConflict` condition without double-reporting.
+/// the all-restoring conflict, so together they cover every net with
+/// more than one driver that cannot release it, without double-reporting.
 pub(crate) fn check_driver_conflicts(circuit: &Circuit, _cfg: &LintConfig, out: &mut Vec<Finding>) {
     for (id, net) in circuit.nets() {
         let drivers = circuit.drivers_of(id);

@@ -1,121 +1,144 @@
-//! `SL001`–`SL004`: the four methodology DRC checks that predate the
-//! rule engine, ported verbatim from `smart_netlist::drc`.
-//!
-//! The detection logic lives here in one shared pass ([`legacy_issues`])
-//! consumed two ways: the `SL00x` rules translate the structured issues
-//! into [`Finding`]s, and [`crate::compat::methodology_check`] translates
-//! the *same* issues into the deprecated `DrcIssue` values — exact parity
-//! with the historical checker by construction, in content and in order.
+//! `SL001`–`SL004`: the four methodology checks that predate the dataflow
+//! and reachability rules — clock wiring, dynamic-net marking, D2 input
+//! discipline and pass-chain depth. They are ordinary rules: each check
+//! computes only its own condition and emits [`Finding`]s directly.
 
-use smart_netlist::{Circuit, CompId, ComponentKind, NetId, NetKind};
+use smart_netlist::{Circuit, ComponentKind, NetId, NetKind};
 
 use crate::engine::{Finding, LintConfig, Severity};
 
-/// One issue in the legacy DRC's vocabulary.
-pub(crate) enum LegacyIssue {
-    /// Domino clock pin off-clock, or a non-clock input pin on a clock net.
-    ClockWiring { comp: CompId, path: String, net: NetId },
-    /// `NetKind::Dynamic` marking and domino drivers disagree.
-    DynamicMarking { net: NetId, name: String },
-    /// D2 data input not provably low during precharge.
-    Unfooted { comp: CompId, path: String, input: String },
-    /// Series pass chain beyond the depth limit.
-    PassChain { net: NetId, depth: usize, limit: usize },
+/// `SL001`: a domino clock pin off a clock net, or a non-clock input pin
+/// on one.
+pub(crate) fn check_clock_wiring(circuit: &Circuit, _cfg: &LintConfig, out: &mut Vec<Finding>) {
+    let mut push = |path: &str, net: NetId, message: String| {
+        out.push(Finding {
+            rule: "SL001",
+            severity: Severity::Error,
+            path: path.to_owned(),
+            nets: vec![circuit.net(net).name.clone()],
+            message,
+        });
+    };
+    for (_, comp) in circuit.components() {
+        if let ComponentKind::Domino { .. } = comp.kind {
+            let clk = comp.conns[0];
+            if circuit.net(clk).kind != NetKind::Clock {
+                let name = &circuit.net(clk).name;
+                push(
+                    &comp.path,
+                    clk,
+                    format!("domino clock pin wired to non-clock net '{name}'"),
+                );
+            }
+        } else {
+            for (pin, net) in comp.input_nets() {
+                if circuit.net(net).kind == NetKind::Clock && !comp.kind.is_clock_pin(pin) {
+                    let name = &circuit.net(net).name;
+                    push(
+                        &comp.path,
+                        net,
+                        format!("non-clock input pin reads clock net '{name}'"),
+                    );
+                }
+            }
+        }
+    }
 }
 
-/// Runs the four legacy checks in their historical order.
-pub(crate) fn legacy_issues(circuit: &Circuit, pass_chain_limit: usize) -> Vec<LegacyIssue> {
-    let mut issues = Vec::new();
-
-    // Clock wiring + dynamic marking, in component order.
-    for (id, comp) in circuit.components() {
-        match &comp.kind {
-            ComponentKind::Domino { .. } => {
-                let clk = comp.conns[0];
-                if circuit.net(clk).kind != NetKind::Clock {
-                    issues.push(LegacyIssue::ClockWiring {
-                        comp: id,
-                        path: comp.path.clone(),
-                        net: clk,
-                    });
-                }
-                let out = comp.output_net();
-                if circuit.net(out).kind != NetKind::Dynamic {
-                    issues.push(LegacyIssue::DynamicMarking {
-                        net: out,
-                        name: circuit.net(out).name.clone(),
-                    });
-                }
-            }
-            _ => {
-                for (pin, net) in comp.input_nets() {
-                    if circuit.net(net).kind == NetKind::Clock && !comp.kind.is_clock_pin(pin)
-                    {
-                        issues.push(LegacyIssue::ClockWiring {
-                            comp: id,
-                            path: comp.path.clone(),
-                            net,
-                        });
-                    }
-                }
-            }
+/// `SL002`: a domino output not marked `NetKind::Dynamic`, or a dynamic
+/// net with no domino driver.
+pub(crate) fn check_dynamic_marking(circuit: &Circuit, _cfg: &LintConfig, out: &mut Vec<Finding>) {
+    let mut push = |net: NetId| {
+        let name = &circuit.net(net).name;
+        out.push(Finding {
+            rule: "SL002",
+            severity: Severity::Error,
+            path: String::new(),
+            nets: vec![name.clone()],
+            message: format!(
+                "net '{name}': NetKind::Dynamic marking and domino drivers disagree \
+                 (dynamic nets must be domino-driven, domino outputs must be dynamic)"
+            ),
+        });
+    };
+    for (_, comp) in circuit.components() {
+        let out_net = comp.output_net();
+        if matches!(comp.kind, ComponentKind::Domino { .. })
+            && circuit.net(out_net).kind != NetKind::Dynamic
+        {
+            push(out_net);
         }
     }
-    // Dynamic nets must be domino-driven.
     for (id, net) in circuit.nets() {
-        if net.kind == NetKind::Dynamic {
-            let domino_driven = circuit
+        if net.kind == NetKind::Dynamic
+            && !circuit
                 .drivers_of(id)
                 .iter()
-                .any(|&d| matches!(circuit.comp(d).kind, ComponentKind::Domino { .. }));
-            if !domino_driven {
-                issues.push(LegacyIssue::DynamicMarking {
-                    net: id,
-                    name: net.name.clone(),
-                });
-            }
+                .any(|&d| matches!(circuit.comp(d).kind, ComponentKind::Domino { .. }))
+        {
+            push(id);
         }
     }
+}
 
-    // D2 input discipline.
-    for (id, comp) in circuit.components() {
-        if let ComponentKind::Domino { clocked_eval: false, .. } = comp.kind {
-            for (pin, net) in comp.input_nets() {
-                if pin == 0 {
-                    continue; // clock pin
-                }
+/// `SL003`: an unfooted (D2) data input not provably low during
+/// precharge.
+pub(crate) fn check_unfooted_inputs(circuit: &Circuit, _cfg: &LintConfig, out: &mut Vec<Finding>) {
+    for (_, comp) in circuit.components() {
+        if let ComponentKind::Domino {
+            clocked_eval: false,
+            ..
+        } = comp.kind
+        {
+            // Pin 0 is the clock.
+            for (_, net) in comp.input_nets().filter(|&(pin, _)| pin != 0) {
                 if !is_monotone_low_in_precharge(circuit, net, 0) {
-                    issues.push(LegacyIssue::Unfooted {
-                        comp: id,
+                    let input = &circuit.net(net).name;
+                    out.push(Finding {
+                        rule: "SL003",
+                        severity: Severity::Error,
                         path: comp.path.clone(),
-                        input: circuit.net(net).name.clone(),
+                        nets: vec![input.clone()],
+                        message: format!(
+                            "unfooted (D2) data input '{input}' is not provably low during \
+                             precharge; it can crowbar the uncut pull-down"
+                        ),
                     });
                 }
             }
         }
     }
+}
 
-    // Pass-chain depth (memoized DFS over pass-gate data edges).
-    let mut depth = vec![None::<usize>; circuit.net_count()];
-    for (id, _) in circuit.nets() {
-        let d = pass_depth(circuit, id, &mut depth, 0);
-        if d > pass_chain_limit {
-            issues.push(LegacyIssue::PassChain {
-                net: id,
-                depth: d,
-                limit: pass_chain_limit,
+/// `SL004`: a series pass-gate chain deeper than
+/// [`LintConfig::pass_chain_limit`] (memoized DFS over pass-gate data
+/// edges).
+pub(crate) fn check_pass_chains(circuit: &Circuit, cfg: &LintConfig, out: &mut Vec<Finding>) {
+    let limit = cfg.pass_chain_limit;
+    let mut memo = vec![None::<usize>; circuit.net_count()];
+    for (id, net) in circuit.nets() {
+        let depth = pass_depth(circuit, id, &mut memo, 0);
+        if depth > limit {
+            let name = &net.name;
+            out.push(Finding {
+                rule: "SL004",
+                severity: Severity::Error,
+                path: String::new(),
+                nets: vec![name.clone()],
+                message: format!(
+                    "series pass chain of depth {depth} ends at net '{name}' \
+                     (methodology limit {limit})"
+                ),
             });
         }
     }
-
-    issues
 }
 
 /// A net is safe for a D2 data pin if every driver is an inverter whose
 /// input is itself safe-inverted — i.e. the signal is provably low during
 /// precharge. An inverter ON a dynamic node outputs low during precharge;
 /// an inverter on THAT is high again, so polarity is tracked two levels
-/// at a time. (Verbatim port of the `smart_netlist::drc` predicate.)
+/// at a time.
 fn is_monotone_low_in_precharge(circuit: &Circuit, net: NetId, depth: usize) -> bool {
     if depth > 8 {
         return false;
@@ -166,76 +189,4 @@ fn pass_depth(circuit: &Circuit, net: NetId, memo: &mut Vec<Option<usize>>, guar
     }
     memo[net.index()] = Some(best);
     best
-}
-
-pub(crate) fn check_clock_wiring(circuit: &Circuit, cfg: &LintConfig, out: &mut Vec<Finding>) {
-    for issue in legacy_issues(circuit, cfg.pass_chain_limit) {
-        if let LegacyIssue::ClockWiring { comp, path, net } = issue {
-            let name = circuit.net(net).name.clone();
-            let message = if matches!(circuit.comp(comp).kind, ComponentKind::Domino { .. }) {
-                format!("domino clock pin wired to non-clock net '{name}'")
-            } else {
-                format!("non-clock input pin reads clock net '{name}'")
-            };
-            out.push(Finding {
-                rule: "SL001",
-                severity: Severity::Error,
-                path,
-                nets: vec![name],
-                message,
-            });
-        }
-    }
-}
-
-pub(crate) fn check_dynamic_marking(circuit: &Circuit, cfg: &LintConfig, out: &mut Vec<Finding>) {
-    for issue in legacy_issues(circuit, cfg.pass_chain_limit) {
-        if let LegacyIssue::DynamicMarking { name, .. } = issue {
-            out.push(Finding {
-                rule: "SL002",
-                severity: Severity::Error,
-                path: String::new(),
-                nets: vec![name.clone()],
-                message: format!(
-                    "net '{name}': NetKind::Dynamic marking and domino drivers disagree \
-                     (dynamic nets must be domino-driven, domino outputs must be dynamic)"
-                ),
-            });
-        }
-    }
-}
-
-pub(crate) fn check_unfooted_inputs(circuit: &Circuit, cfg: &LintConfig, out: &mut Vec<Finding>) {
-    for issue in legacy_issues(circuit, cfg.pass_chain_limit) {
-        if let LegacyIssue::Unfooted { path, input, .. } = issue {
-            out.push(Finding {
-                rule: "SL003",
-                severity: Severity::Error,
-                path,
-                nets: vec![input.clone()],
-                message: format!(
-                    "unfooted (D2) data input '{input}' is not provably low during \
-                     precharge; it can crowbar the uncut pull-down"
-                ),
-            });
-        }
-    }
-}
-
-pub(crate) fn check_pass_chains(circuit: &Circuit, cfg: &LintConfig, out: &mut Vec<Finding>) {
-    for issue in legacy_issues(circuit, cfg.pass_chain_limit) {
-        if let LegacyIssue::PassChain { net, depth, limit } = issue {
-            let name = circuit.net(net).name.clone();
-            out.push(Finding {
-                rule: "SL004",
-                severity: Severity::Error,
-                path: String::new(),
-                nets: vec![name.clone()],
-                message: format!(
-                    "series pass chain of depth {depth} ends at net '{name}' \
-                     (methodology limit {limit})"
-                ),
-            });
-        }
-    }
 }

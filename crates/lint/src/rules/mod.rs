@@ -1,8 +1,8 @@
 //! The rule catalogue.
 //!
-//! Rule ids are stable API: `SL0xx` are the four legacy methodology DRC
-//! checks migrated from `smart_netlist::drc`, `SL1xx` are the dataflow
-//! and graph-reachability rules introduced with this crate.
+//! Rule ids are stable API: `SL0xx` are the four methodology checks
+//! (clock wiring, dynamic marking, D2 input discipline, pass-chain
+//! depth), `SL1xx` are the dataflow and graph-reachability rules.
 
 pub(crate) mod connectivity;
 pub(crate) mod electrical;
@@ -11,6 +11,13 @@ pub(crate) mod monotonicity;
 pub(crate) mod timing;
 
 use crate::engine::{RuleInfo, Severity};
+
+/// The structural rules: mixed restoring/pass drivers (`SL102`) and
+/// netlist connectivity (`SL107`–`SL110`: floating nets, undriven outputs,
+/// driver conflicts, unbound size labels). A well-formed netlist has no
+/// finding from any of them, whatever its circuit family; see
+/// [`LintReport::structural`](crate::LintReport::structural).
+pub const STRUCTURAL_RULES: &[&str] = &["SL102", "SL107", "SL108", "SL109", "SL110"];
 
 /// All registered rules in id order.
 pub(crate) static REGISTRY: &[RuleInfo] = &[

@@ -1,9 +1,9 @@
 //! `SL101`: domino data inputs must be monotone-rising during evaluate.
 //!
-//! This is the check the legacy DRC could not express: `SL003` only
-//! looks at *precharge* levels of D2 inputs, so a static inverter pair
-//! between two domino stages — output falls during evaluate, violating
-//! the domino discipline — sails through it. The monotonicity dataflow
+//! This is the check the structural `SL00x` rules cannot express:
+//! `SL003` only looks at *precharge* levels of D2 inputs, so a static
+//! inverter pair between two domino stages — output falls during
+//! evaluate, violating the domino discipline — sails through it. The monotonicity dataflow
 //! ([`crate::dataflow`]) sees it: the second inversion makes the D2
 //! input monotone-*falling*, and any net classified falling or unknown
 //! on a domino data pin is a violation.

@@ -4,7 +4,7 @@
 //! severity overrides and waivers.
 
 use smart_lint::{lint_circuit, lint_circuit_with, rules, LintConfig, Severity, Waiver};
-use smart_netlist::{Circuit, ComponentKind, DeviceRole, LabelId, NetId, NetKind, Network, Skew};
+use smart_netlist::{Circuit, ComponentKind, DeviceRole, NetId, NetKind, Network, Skew};
 
 fn inv(c: &mut Circuit, path: &str, a: NetId, y: NetId) {
     let p = c.label("P1");
@@ -195,6 +195,95 @@ fn sl004_pass_chain_depth() {
     assert!(report.findings.iter().any(|f| f.rule == "SL004"));
 }
 
+/// One circuit tripping every `SL00x` check, each in every direction it
+/// has: both `SL001` and both `SL002` directions, `SL003` and `SL004`.
+#[test]
+fn all_violations_trips_exactly_the_expected_sl00x_findings() {
+    let mut c = Circuit::new("all_violations");
+    let clk = c.add_net_kind("clk", NetKind::Clock).unwrap();
+    let notclk = c.add_net("notclk").unwrap();
+    let a = c.add_net("a").unwrap();
+    // SL001 + SL002: domino clock pin off-clock, output not marked dynamic.
+    let y1 = c.add_net("y1").unwrap();
+    domino(
+        &mut c,
+        "d_badclk",
+        Network::Input(0),
+        true,
+        &[notclk, a, y1],
+    );
+    // SL001 the other way: a static input reads the clock.
+    let y2 = c.add_net("y2").unwrap();
+    inv(&mut c, "i_onclk", clk, y2);
+    // SL002 the other way: a dynamic net with no domino driver.
+    let dyn3 = c.add_net_kind("dyn3", NetKind::Dynamic).unwrap();
+    inv(&mut c, "i_dyn", a, dyn3);
+    // SL003: D2 data wired to a primary input.
+    let dyn2 = c.add_net_kind("dyn2", NetKind::Dynamic).unwrap();
+    domino(&mut c, "d2_bad", Network::Input(0), false, &[clk, a, dyn2]);
+    // SL004: four series pass gates.
+    let s = c.add_net("s").unwrap();
+    let mut prev = c.add_net("p0").unwrap();
+    c.expose_input("p0", prev);
+    for i in 0..4 {
+        let next = c.add_net(format!("p{}", i + 1)).unwrap();
+        pass(&mut c, &format!("pg{i}"), prev, s, next);
+        prev = next;
+    }
+    for (name, net) in [("clk", clk), ("notclk", notclk), ("a", a), ("s", s)] {
+        c.expose_input(name, net);
+    }
+    for (name, net) in [
+        ("y1", y1),
+        ("y2", y2),
+        ("dyn3", dyn3),
+        ("dyn2", dyn2),
+        ("tail", prev),
+    ] {
+        c.expose_output(name, net);
+    }
+
+    let report = lint_circuit(&c);
+    let sl00x: Vec<(&str, &str, Vec<&str>)> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule < "SL100")
+        .map(|f| {
+            (
+                f.rule,
+                f.path.as_str(),
+                f.nets.iter().map(String::as_str).collect(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        sl00x,
+        [
+            ("SL001", "d_badclk", vec!["notclk"]),
+            ("SL001", "i_onclk", vec!["clk"]),
+            ("SL002", "", vec!["dyn3"]),
+            ("SL002", "", vec!["y1"]),
+            ("SL003", "d2_bad", vec!["a"]),
+            ("SL004", "", vec!["p4"]),
+        ]
+    );
+    let message = |path: &str| {
+        let f = report
+            .findings
+            .iter()
+            .find(|f| f.rule == "SL001" && f.path == path);
+        f.map(|f| f.message.as_str()).unwrap_or_default()
+    };
+    assert_eq!(
+        message("d_badclk"),
+        "domino clock pin wired to non-clock net 'notclk'"
+    );
+    assert_eq!(
+        message("i_onclk"),
+        "non-clock input pin reads clock net 'clk'"
+    );
+}
+
 #[test]
 fn sl101_inverting_static_logic_between_stages() {
     // Two inverters between D1 and D2: the D2 data input becomes
@@ -256,6 +345,14 @@ fn sl102_restoring_and_pass_drivers_mix() {
     }
     c2.expose_output("y", sh);
     assert!(!fired(&c2).contains(&"SL102"));
+}
+
+#[test]
+fn two_pass_gates_sharing_a_net_fire_no_sl109() {
+    // Pass gates may release the net, so sharing is not a driver conflict.
+    let ids = fired(&pass_pair(false, false));
+    assert!(!ids.contains(&"SL109"), "{ids:?}");
+    assert!(!ids.contains(&"SL102"), "{ids:?}");
 }
 
 /// Two pass gates onto one net; select nets and data nets chosen per test.

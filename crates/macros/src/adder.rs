@@ -206,13 +206,7 @@ mod tests {
     #[test]
     fn adder_lints_clean_across_widths() {
         for w in [1, 2, 4, 8, 16] {
-            let c = cla_adder(w);
-            let issues: Vec<_> = c
-                .lint()
-                .into_iter()
-                // The virtual t[0] placeholder leaves cin's t unused; all
-                // other lint classes must be clean.
-                .collect();
+            let issues = smart_lint::lint_circuit(&cla_adder(w)).structural();
             assert!(issues.is_empty(), "width {w}: {issues:?}");
         }
     }

@@ -209,7 +209,8 @@ mod tests {
     fn variants_lint_clean() {
         for v in ComparatorVariant::exploration_set() {
             let c = comparator(32, v);
-            assert!(c.lint().is_empty(), "{}: {:?}", v.name(), c.lint());
+            let issues = smart_lint::lint_circuit(&c).structural();
+            assert!(issues.is_empty(), "{}: {issues:?}", v.name());
         }
     }
 

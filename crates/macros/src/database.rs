@@ -475,7 +475,8 @@ mod tests {
         ];
         for spec in &specs {
             let c = spec.generate();
-            assert!(c.lint().is_empty(), "{spec}: {:?}", c.lint());
+            let issues = smart_lint::lint_circuit(&c).structural();
+            assert!(issues.is_empty(), "{spec}: {issues:?}");
             assert!(c.device_count() > 0);
         }
     }

@@ -66,7 +66,8 @@ mod tests {
     fn decoder_shapes() {
         for bits in [2, 3, 4, 6, 7] {
             let c = decoder(bits);
-            assert!(c.lint().is_empty(), "{bits}: {:?}", c.lint());
+            let issues = smart_lint::lint_circuit(&c).structural();
+            assert!(issues.is_empty(), "{bits}: {issues:?}");
             assert_eq!(c.output_ports().count(), 1 << bits);
             // Label set independent of size.
             assert_eq!(c.labels().len(), 6);

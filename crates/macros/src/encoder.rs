@@ -133,9 +133,11 @@ mod tests {
     fn encoders_lint_clean() {
         for bits in [1, 2, 3, 4] {
             let c = priority_encoder(bits);
-            assert!(c.lint().is_empty(), "penc {bits}: {:?}", c.lint());
+            let issues = smart_lint::lint_circuit(&c).structural();
+            assert!(issues.is_empty(), "penc {bits}: {issues:?}");
             let c = onehot_encoder(bits);
-            assert!(c.lint().is_empty(), "enc {bits}: {:?}", c.lint());
+            let issues = smart_lint::lint_circuit(&c).structural();
+            assert!(issues.is_empty(), "enc {bits}: {issues:?}");
         }
     }
 

@@ -165,7 +165,8 @@ mod tests {
         let c8 = incrementor(8);
         let c16 = incrementor(16);
         assert!(c16.component_count() as f64 > 1.8 * c8.component_count() as f64);
-        assert!(c8.lint().is_empty(), "{:?}", c8.lint());
-        assert!(decrementor(8).lint().is_empty());
+        let issues = smart_lint::lint_circuit(&c8).structural();
+        assert!(issues.is_empty(), "{issues:?}");
+        assert!(smart_lint::lint_circuit(&decrementor(8)).structural().is_empty());
     }
 }

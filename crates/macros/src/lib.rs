@@ -54,3 +54,4 @@ pub use mux::MuxTopology;
 pub use regfile::regfile_read;
 pub use shifter::{barrel_shifter, ShiftKind};
 pub use zero_detect::{zero_detect, ZeroDetectStyle};
+

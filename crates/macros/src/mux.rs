@@ -339,13 +339,8 @@ mod tests {
     fn all_topologies_lint_clean() {
         for topo in MuxTopology::all() {
             let width = if topo == MuxTopology::EncodedSelectPass { 2 } else { 4 };
-            let c = generate(topo, width);
-            assert!(
-                c.lint().is_empty(),
-                "{}: {:?}",
-                topo.name(),
-                c.lint()
-            );
+            let issues = smart_lint::lint_circuit(&generate(topo, width)).structural();
+            assert!(issues.is_empty(), "{}: {issues:?}", topo.name());
         }
     }
 

@@ -95,7 +95,8 @@ mod tests {
     #[test]
     fn lint_clean() {
         let c = regfile_read(8, 4);
-        assert!(c.lint().is_empty(), "{:?}", c.lint());
+        let issues = smart_lint::lint_circuit(&c).structural();
+        assert!(issues.is_empty(), "{issues:?}");
     }
 
     #[test]

@@ -129,7 +129,8 @@ mod tests {
     fn static_variants_lint_clean() {
         for w in [1, 3, 6, 8, 16, 22, 63] {
             let c = zero_detect(w, ZeroDetectStyle::Static);
-            assert!(c.lint().is_empty(), "width {w}: {:?}", c.lint());
+            let issues = smart_lint::lint_circuit(&c).structural();
+            assert!(issues.is_empty(), "width {w}: {issues:?}");
         }
     }
 
@@ -137,7 +138,8 @@ mod tests {
     fn domino_variants_lint_clean() {
         for w in [6, 8, 16, 32, 63] {
             let c = zero_detect(w, ZeroDetectStyle::Domino);
-            assert!(c.lint().is_empty(), "width {w}: {:?}", c.lint());
+            let issues = smart_lint::lint_circuit(&c).structural();
+            assert!(issues.is_empty(), "width {w}: {issues:?}");
         }
     }
 

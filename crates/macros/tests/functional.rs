@@ -415,7 +415,8 @@ fn cla_incrementor_matches_ripple() {
     use smart_macros::incrementor_cla;
     for width in [1usize, 3, 8, 13] {
         let c = incrementor_cla(width);
-        assert!(c.lint().is_empty(), "inc{width}_cla: {:?}", c.lint());
+        let issues = smart_lint::lint_circuit(&c).structural();
+        assert!(issues.is_empty(), "inc{width}_cla: {issues:?}");
         let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
         let mut cases: Vec<u64> = vec![0, mask, mask >> 1];
         let mut r = rng();
@@ -435,12 +436,8 @@ fn cla_incrementor_matches_ripple() {
 }
 
 #[test]
-// Pins the deprecated shim's behaviour until its removal; the maintained
-// checks live in smart-lint (see crates/lint/tests/database.rs).
-#[allow(deprecated)]
-fn database_macros_pass_methodology_drc() {
+fn database_macros_pass_methodology_rules() {
     use smart_macros::MacroSpec;
-    use smart_netlist::methodology_check;
     let specs = [
         MacroSpec::Mux { topology: MuxTopology::StronglyMutexedPass, width: 8 },
         MacroSpec::Mux { topology: MuxTopology::WeaklyMutexedPass, width: 4 },
@@ -461,8 +458,13 @@ fn database_macros_pass_methodology_drc() {
         MacroSpec::BarrelShifter { width: 16, kind: smart_macros::ShiftKind::RotateLeft },
     ];
     for spec in specs {
-        let c = spec.generate();
-        let issues = methodology_check(&c);
+        let report = smart_lint::lint_circuit(&spec.generate());
+        // Clock wiring, dynamic marking, D2 input discipline, pass-chain depth.
+        let issues: Vec<_> = report
+            .findings
+            .iter()
+            .filter(|f| matches!(f.rule, "SL001" | "SL002" | "SL003" | "SL004"))
+            .collect();
         assert!(issues.is_empty(), "{spec}: {issues:?}");
     }
 }

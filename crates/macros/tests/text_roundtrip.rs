@@ -2,6 +2,7 @@
 //! structural text format losslessly: same structure, same accounting,
 //! same function.
 
+use smart_lint::lint_circuit;
 use smart_macros::{ComparatorVariant, MacroSpec, MuxTopology, ShiftKind, ZeroDetectStyle};
 use smart_netlist::text::{from_text, to_text};
 use smart_netlist::Sizing;
@@ -89,7 +90,10 @@ fn every_macro_roundtrips_structurally() {
         assert!((original.clock_load(&s1) - parsed.clock_load(&s2)).abs() < 1e-9);
         // Rendering is idempotent.
         assert_eq!(to_text(&parsed), text, "{spec}");
-        assert!(parsed.lint().is_empty(), "{spec}: {:?}", parsed.lint());
+        let report = lint_circuit(&parsed);
+        let issues = report.structural();
+        assert!(issues.is_empty(), "{spec}: {issues:?}");
+        assert_eq!(report.findings, lint_circuit(&original).findings, "{spec}");
     }
 }
 

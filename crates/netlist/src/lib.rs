@@ -55,7 +55,6 @@
 
 mod circuit;
 mod compose;
-pub mod drc;
 mod component;
 mod error;
 mod hash;
@@ -66,9 +65,7 @@ mod network;
 pub mod spice;
 pub mod text;
 
-pub use circuit::{Circuit, LintIssue};
-#[allow(deprecated)]
-pub use drc::{methodology_check, DrcIssue};
+pub use circuit::Circuit;
 pub use component::{CompId, Component};
 pub use error::NetlistError;
 pub use hash::StableHasher;

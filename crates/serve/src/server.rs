@@ -6,14 +6,19 @@
 //! client reads newline-delimited JSON requests and writes one response
 //! line per request. A `shutdown` op flips a shared stop flag and pokes
 //! the listener with a loopback connection so the blocking `accept`
-//! observes it promptly.
+//! observes it promptly. A request line longer than [`MAX_REQUEST_LINE`]
+//! bytes gets one `invalid-request` reply and closes the connection, so
+//! no client can grow the daemon's memory without limit.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::advisor::{Advisor, Control};
+use crate::advisor::{error_line, Advisor, Control, Reply};
+
+/// Longest request line a socket client may send, newline excluded.
+const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Replays a newline-delimited request script through `advisor`, writing
 /// one response line per request to `out`. Blank lines and `#` comment
@@ -41,23 +46,39 @@ pub fn run_script(advisor: &Advisor, script: &str, out: &mut dyn Write) -> std::
     Ok(handled)
 }
 
-fn serve_client(advisor: &Advisor, stream: impl std::io::Read + Write, stop: &AtomicBool) {
+fn serve_client(advisor: &Advisor, stream: impl Read + Write, stop: &AtomicBool) {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        // One byte past the cap: a line that fills it without a newline
+        // is over-long.
+        let cap = MAX_REQUEST_LINE as u64 + 1;
+        match reader.by_ref().take(cap).read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => return, // client hung up
             Ok(_) => {}
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = advisor.handle_line(line.trim());
+        let over_long = line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n');
+        let reply = if over_long {
+            let detail = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+            Reply {
+                text: error_line("", "", "invalid-request", &detail),
+                control: Control::Continue,
+            }
+        } else {
+            let Ok(text) = std::str::from_utf8(&line) else {
+                return; // not UTF-8: hang up
+            };
+            if text.trim().is_empty() {
+                continue;
+            }
+            advisor.handle_line(text.trim())
+        };
         let stream = reader.get_mut();
         if stream.write_all(reply.text.as_bytes()).is_err()
             || stream.write_all(b"\n").is_err()
             || stream.flush().is_err()
+            || over_long
         {
             return;
         }
@@ -122,4 +143,78 @@ pub fn serve_unix(advisor: Arc<Advisor>, path: &std::path::Path) -> std::io::Res
     }
     let _ = std::fs::remove_file(path);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServeOptions;
+    use smart_core::ParallelOptions;
+
+    fn connect(addr: &str) -> TcpStream {
+        // The listener may not be up yet; retry the connect briefly.
+        for _ in 0..200 {
+            if let Ok(s) = TcpStream::connect(addr) {
+                // A server that never answers fails the test, not hangs it.
+                s.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                    .unwrap();
+                return s;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        panic!("cannot connect to {addr}");
+    }
+
+    #[test]
+    fn over_long_line_gets_one_invalid_request_reply_then_hangs_up() {
+        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = probe.local_addr().unwrap().to_string();
+        drop(probe);
+        let advisor = Arc::new(Advisor::new(ServeOptions {
+            parallel: Some(ParallelOptions::with_workers(1)),
+            ..ServeOptions::default()
+        }));
+        let server = {
+            let addr = addr.clone();
+            std::thread::spawn(move || serve_tcp(advisor, &addr))
+        };
+
+        // Exactly one byte over the cap, and no newline.
+        let mut flood = BufReader::new(connect(&addr));
+        flood
+            .get_mut()
+            .write_all(&vec![b'x'; MAX_REQUEST_LINE + 1])
+            .unwrap();
+        let mut reply = String::new();
+        flood.read_line(&mut reply).unwrap();
+        assert!(reply.starts_with("{\"ok\":false,"), "{reply}");
+        assert!(reply.contains("\"error\":\"invalid-request\""), "{reply}");
+        reply.clear();
+        assert_eq!(
+            flood.read_line(&mut reply).unwrap(),
+            0,
+            "socket must be closed: {reply}"
+        );
+
+        // The daemon keeps serving other clients.
+        let mut client = BufReader::new(connect(&addr));
+        client
+            .get_mut()
+            .write_all(b"{\"op\":\"ping\",\"id\":\"p\"}\n")
+            .unwrap();
+        reply.clear();
+        client.read_line(&mut reply).unwrap();
+        assert_eq!(reply, "{\"ok\":true,\"op\":\"ping\",\"id\":\"p\"}\n");
+        client
+            .get_mut()
+            .write_all(b"{\"op\":\"shutdown\",\"id\":\"s\"}\n")
+            .unwrap();
+        reply.clear();
+        client.read_line(&mut reply).unwrap();
+        assert!(
+            reply.starts_with("{\"ok\":true,\"op\":\"shutdown\""),
+            "{reply}"
+        );
+        server.join().unwrap().unwrap();
+    }
 }

@@ -20,6 +20,7 @@
 
 use smart_datapath::blocks::alu_slice;
 use smart_datapath::core::{size_circuit, DelaySpec, SizingOptions};
+use smart_datapath::lint::lint_circuit;
 use smart_datapath::models::ModelLibrary;
 use smart_datapath::sim::harness::{read_bus, set_bus};
 use smart_datapath::sim::{Logic, Simulator};
@@ -32,11 +33,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or(8);
     let alu = alu_slice(bits);
     println!(
-        "composed ALU slice: {} components, {} transistors, {} size labels, lint: {:?}",
+        "composed ALU slice: {} components, {} transistors, {} size labels, lint errors: {}",
         alu.component_count(),
         alu.device_count(),
         alu.labels().len(),
-        alu.lint().len()
+        lint_circuit(&alu).errors()
     );
 
     // Functional spot checks through the two-phase protocol.

@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 
 use smart_datapath::core::{size_circuit, DelaySpec, SizingOptions};
+use smart_datapath::lint::lint_circuit;
 use smart_datapath::macros::helpers::{input_bus, inverter, pass_gate};
 use smart_datapath::macros::Database;
 use smart_datapath::models::ModelLibrary;
@@ -70,7 +71,10 @@ fn tree_mux4() -> Circuit {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Build and register the designer's macro.
     let circuit = tree_mux4();
-    assert!(circuit.lint().is_empty(), "{:?}", circuit.lint());
+    // Structurally sound: no mixed drivers (SL102), floating nets,
+    // undriven outputs, driver conflicts or unbound labels (SL107–SL110).
+    let issues = lint_circuit(&circuit).structural();
+    assert!(issues.is_empty(), "{issues:?}");
     let mut db = Database::new();
     db.register("mux4-tree-encoded", circuit.clone());
     println!(

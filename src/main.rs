@@ -181,9 +181,6 @@ fn run(cmd: &str, args: &[String], lib: &ModelLibrary, opts: &SizingOptions) -> 
                 circuit.device_count(),
                 circuit.labels().len()
             );
-            for issue in circuit.lint() {
-                println!("lint: {issue:?}");
-            }
             let report = smart_datapath::lint::lint_circuit(&circuit);
             for finding in &report.findings {
                 println!("rule: {finding}");
@@ -196,7 +193,7 @@ fn run(cmd: &str, args: &[String], lib: &ModelLibrary, opts: &SizingOptions) -> 
                 );
             }
             let boundary = Boundary::default();
-            match smart_datapath::core::compaction_stats(&circuit, &lib, &boundary, &opts) {
+            match smart_datapath::core::compaction_stats(&circuit, lib, &boundary, opts) {
                 Ok(stats) => println!(
                     "paths: {} raw -> {} constraint classes ({:.1}x)",
                     stats.raw_paths,
@@ -211,8 +208,8 @@ fn run(cmd: &str, args: &[String], lib: &ModelLibrary, opts: &SizingOptions) -> 
             let Some(spec) = args.get(1).and_then(|n| MacroSpec::parse(n)) else {
                 return usage();
             };
-            let load = flag(&args, "--load", 15.0);
-            let delay = flag(&args, "--delay", 300.0);
+            let load = flag(args, "--load", 15.0);
+            let delay = flag(args, "--delay", 300.0);
             let opts = &match corner_opts(args, lib, opts) {
                 Ok(o) => o,
                 Err(bad) => {
@@ -224,8 +221,7 @@ fn run(cmd: &str, args: &[String], lib: &ModelLibrary, opts: &SizingOptions) -> 
             let boundary = boundary_for(&circuit, load);
             match cmd {
                 "explore" => {
-                    let table =
-                        explore(&spec, &lib, &boundary, &DelaySpec::uniform(delay), &opts);
+                    let table = explore(&spec, lib, &boundary, &DelaySpec::uniform(delay), opts);
                     println!(
                         "{:<30} {:>10} {:>10} {:>10} {:>10}",
                         "topology", "width", "power", "clock", "delay"
@@ -247,19 +243,14 @@ fn run(cmd: &str, args: &[String], lib: &ModelLibrary, opts: &SizingOptions) -> 
                     }
                     ExitCode::SUCCESS
                 }
-                _ => match size_circuit(
-                    &circuit,
-                    &lib,
-                    &boundary,
-                    &DelaySpec::uniform(delay),
-                    &opts,
-                ) {
+                _ => match size_circuit(&circuit, lib, &boundary, &DelaySpec::uniform(delay), opts)
+                {
                     Ok(out) => {
                         if cmd == "spice" {
                             print!("{}", to_spice(&circuit, &out.sizing));
                         } else {
                             match smart_datapath::core::sizing_report(
-                                &circuit, &lib, &boundary, &out,
+                                &circuit, lib, &boundary, &out,
                             ) {
                                 Ok(report) => print!("{report}"),
                                 Err(e) => eprintln!("report failed: {e}"),
@@ -287,8 +278,8 @@ fn run(cmd: &str, args: &[String], lib: &ModelLibrary, opts: &SizingOptions) -> 
             let Some(spec) = args.get(1).and_then(|n| MacroSpec::parse(n)) else {
                 return usage();
             };
-            let load = flag(&args, "--load", 15.0);
-            let delay = flag(&args, "--delay", 300.0);
+            let load = flag(args, "--load", 15.0);
+            let delay = flag(args, "--delay", 300.0);
             let opts = &match corner_opts(args, lib, opts) {
                 Ok(o) => o,
                 Err(bad) => {
@@ -325,8 +316,8 @@ fn run(cmd: &str, args: &[String], lib: &ModelLibrary, opts: &SizingOptions) -> 
             let Some(width) = args.get(1).and_then(|v| v.parse::<usize>().ok()) else {
                 return usage();
             };
-            let load = flag(&args, "--load", 15.0);
-            let delay = flag(&args, "--delay", 350.0);
+            let load = flag(args, "--load", 15.0);
+            let delay = flag(args, "--delay", 350.0);
             // A too-narrow width is rejected by the tuner before the probe
             // circuit exists, so build the boundary only on the Ok path.
             let sweep = if width < 3 {

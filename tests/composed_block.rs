@@ -4,6 +4,7 @@
 
 use smart_datapath::blocks::alu_slice;
 use smart_datapath::core::{minimize_delay, size_circuit, DelaySpec, SizingOptions};
+use smart_datapath::lint::lint_circuit;
 use smart_datapath::models::ModelLibrary;
 use smart_datapath::power::{estimate, ActivityProfile};
 use smart_datapath::sim::harness::{read_bus, set_bus};
@@ -35,7 +36,8 @@ fn run_vector(sim: &mut Simulator<'_>, a: u64, b: u64, sh: u64, op: bool, cin: b
 #[test]
 fn composed_alu_is_functionally_correct_over_random_vectors() {
     let alu = alu_slice(BITS);
-    assert!(alu.lint().is_empty());
+    let issues = lint_circuit(&alu).structural();
+    assert!(issues.is_empty(), "{issues:?}");
     let mut sim = Simulator::new(&alu);
     let mut rng = Prng::new(0xA1_57);
     let mask = (1u64 << BITS) - 1;

@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 use smart_datapath::core::{
     baseline_sizing, size_circuit, BaselineMargins, DelaySpec, SizingOptions,
 };
+use smart_datapath::lint::lint_circuit;
 use smart_datapath::macros::{MacroSpec, MuxTopology, ZeroDetectStyle};
 use smart_datapath::models::ModelLibrary;
 use smart_datapath::netlist::spice::to_spice;
@@ -33,7 +34,8 @@ fn full_pipeline_on_a_domino_mux() {
     let circuit = spec.generate();
 
     // 1. Structural signoff.
-    assert!(circuit.lint().is_empty());
+    let issues = lint_circuit(&circuit).structural();
+    assert!(issues.is_empty(), "{issues:?}");
 
     // 2. Functional signoff (two-phase protocol handled by the harness).
     for data in [0b1010u64, 0b0110] {
