@@ -4,8 +4,10 @@
 //! Four sections, all written to a machine-readable `BENCH_gp.json`:
 //!
 //! * **kernel** — per-macro sizing-GP solve wall time and Newton
-//!   steps/sec for the sparse production kernel vs the dense reference
-//!   oracle (`solve_reference`), same problems, same trajectories;
+//!   steps/sec for the shared-evaluation production kernel vs the dense
+//!   reference oracle (`solve_reference`), same problems, same
+//!   trajectories, with each GP's log-term count and the number of
+//!   distinct exponent rows those terms share;
 //! * **warm_start** — phase-1 + phase-2 step counts and wall time across
 //!   a simulated relaxation ladder, with chaining (rung k+1 starts from
 //!   rung k's solution) vs without (every rung restarts from mid-range
@@ -32,6 +34,7 @@ use smart_core::{
 use smart_gp::SolverOptions;
 use smart_macros::{MacroSpec, MuxTopology, ZeroDetectStyle};
 use smart_models::{CornerSet, ModelLibrary};
+use smart_posy::LogSystem;
 use smart_sta::Boundary;
 
 /// `explore_scaling` full-sweep serial wall time (best of 3) measured at
@@ -77,6 +80,8 @@ struct KernelRow {
     name: &'static str,
     dim: usize,
     constraints: usize,
+    terms: usize,
+    rows: usize,
     newton_steps: usize,
     sparse_ms: f64,
     dense_ms: f64,
@@ -108,10 +113,17 @@ fn bench_kernel(name: &'static str, built: &SizingGp, iters: usize) -> KernelRow
             "{name}: kernels walked different trajectories"
         );
     }
+    let gp = &built.gp;
+    let sys = LogSystem::from_posynomials(
+        std::iter::once(gp.objective()).chain(gp.constraints().iter().map(|c| &c.body)),
+        gp.dim(),
+    );
     KernelRow {
         name,
-        dim: built.gp.dim(),
-        constraints: built.gp.constraints().len(),
+        dim: gp.dim(),
+        constraints: gp.constraints().len(),
+        terms: sys.terms(),
+        rows: sys.distinct_rows(),
         newton_steps: steps,
         sparse_ms: sparse_best.as_secs_f64() * 1e3,
         dense_ms: dense_best.as_secs_f64() * 1e3,
@@ -302,15 +314,20 @@ fn main() {
     let iters = if smoke { 1 } else { 3 };
 
     // --- Kernel micro: sparse vs dense on real sizing GPs -------------
+    // inc8 rides in the smoke set so CI's trajectory assertion covers a
+    // GP whose terms share exponent rows.
     let kernel_cases: Vec<(&'static str, MacroSpec, f64)> = if smoke {
-        vec![(
-            "mux4",
-            MacroSpec::Mux {
-                topology: MuxTopology::StronglyMutexedPass,
-                width: 4,
-            },
-            900.0,
-        )]
+        vec![
+            (
+                "mux4",
+                MacroSpec::Mux {
+                    topology: MuxTopology::StronglyMutexedPass,
+                    width: 4,
+                },
+                900.0,
+            ),
+            ("inc8", MacroSpec::Incrementor { width: 8 }, 1500.0),
+        ]
     } else {
         vec![
             (
@@ -331,21 +348,24 @@ fn main() {
             ),
             ("inc13", MacroSpec::Incrementor { width: 13 }, 2600.0),
             ("inc8_cla", MacroSpec::IncrementorCla { width: 8 }, 1500.0),
+            ("cla64", MacroSpec::ClaAdder { width: 64 }, 1500.0),
         ]
     };
     println!(
-        "{:<12} {:>5} {:>6} {:>7} {:>10} {:>10} {:>8} {:>12}",
-        "case", "dim", "cons", "steps", "sparse", "dense", "speedup", "steps/sec"
+        "{:<12} {:>5} {:>6} {:>7} {:>6} {:>7} {:>10} {:>10} {:>8} {:>12}",
+        "case", "dim", "cons", "terms", "rows", "steps", "sparse", "dense", "speedup", "steps/sec"
     );
     let mut kernel_rows = Vec::new();
     for (name, request, ps) in &kernel_cases {
         let built = sizing_gp(request, 20.0, &DelaySpec::uniform(*ps));
         let row = bench_kernel(name, &built, iters);
         println!(
-            "{:<12} {:>5} {:>6} {:>7} {:>8.2}ms {:>8.2}ms {:>7.2}x {:>12.0}",
+            "{:<12} {:>5} {:>6} {:>7} {:>6} {:>7} {:>8.2}ms {:>8.2}ms {:>7.2}x {:>12.0}",
             row.name,
             row.dim,
             row.constraints,
+            row.terms,
+            row.rows,
             row.newton_steps,
             row.sparse_ms,
             row.dense_ms,
@@ -467,11 +487,14 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"case\": \"{}\", \"dim\": {}, \"constraints\": {}, \
+             \"terms\": {}, \"distinct_rows\": {}, \
              \"newton_steps\": {}, \"sparse_ms\": {:.3}, \"dense_ms\": {:.3}, \
              \"dense_over_sparse\": {:.3}, \"steps_per_sec\": {:.0}}}{}",
             r.name,
             r.dim,
             r.constraints,
+            r.terms,
+            r.rows,
             r.newton_steps,
             r.sparse_ms,
             r.dense_ms,

@@ -9,10 +9,11 @@
 //! * [`GpProblem`] — standard-form GP builder (`minimize f₀, fᵢ ≤ 1`),
 //!   with size bounds and designer-pinned sizes as monomial constraints.
 //! * [`GpProblem::solve`] — phase-I feasibility then barrier/Newton
-//!   optimization over the log-transformed problem; the Newton systems are
-//!   assembled sparsely per-constraint and factored with an in-place
-//!   packed Cholesky (the dense twin survives as
-//!   [`GpProblem::solve_reference`], the differential-test oracle).
+//!   optimization over the log-transformed problem, evaluated once per
+//!   point through a shared [`smart_posy::LogSystem`]; the Newton systems
+//!   are assembled sparsely per-constraint from the cached evaluation and
+//!   factored with an in-place packed Cholesky (the dense twin survives
+//!   as [`GpProblem::solve_reference`], the differential-test oracle).
 //! * [`KktReport`] — first-order optimality residuals so callers can trust
 //!   (or reject) a solution programmatically.
 //!

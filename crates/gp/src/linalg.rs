@@ -202,20 +202,21 @@ pub fn solve_packed_in_place(l: &[f64], n: usize, x: &mut [f64]) {
 /// resized once and reused across calls, so the steady state performs no
 /// heap allocation, unlike the dense path's `a.to_vec()` per attempt.
 ///
-/// Returns the ridge that was needed.
+/// Returns the ridge that was needed, or `None` when ridge escalation
+/// fails: the matrix is pathological (NaN entries, or not symmetric-PSD
+/// within any reasonable perturbation). The dense twin panics there; the
+/// production solver turns `None` into a typed numerical failure.
 ///
 /// # Panics
 ///
-/// Panics if `a.len() != n·(n+1)/2` or ridge escalation diverges (the
-/// matrix is pathological — not symmetric-PSD within any reasonable
-/// perturbation).
+/// Panics if `a.len() != n·(n+1)/2` or `b.len() != n`.
 pub fn solve_spd_ridged_packed(
     a: &[f64],
     n: usize,
     b: &[f64],
     factor: &mut Vec<f64>,
     x: &mut Vec<f64>,
-) -> f64 {
+) -> Option<f64> {
     assert_eq!(a.len(), n * (n + 1) / 2, "packed triangle has wrong length");
     assert_eq!(b.len(), n, "rhs has wrong length");
     let refill = |factor: &mut Vec<f64>, x: &mut Vec<f64>| {
@@ -227,7 +228,7 @@ pub fn solve_spd_ridged_packed(
     refill(factor, x);
     if cholesky_packed_in_place(factor, n) {
         solve_packed_in_place(factor, n, x);
-        return 0.0;
+        return Some(0.0);
     }
     let diag_max = (0..n)
         .map(|i| a[i * (i + 1) / 2 + i].abs())
@@ -241,13 +242,12 @@ pub fn solve_spd_ridged_packed(
         }
         if cholesky_packed_in_place(factor, n) {
             solve_packed_in_place(factor, n, x);
-            return lambda;
+            return Some(lambda);
         }
         lambda *= 10.0;
-        assert!(
-            lambda.is_finite() && lambda < diag_max * 1e12,
-            "ridge escalation failed; matrix is pathological"
-        );
+        if !(lambda.is_finite() && lambda < diag_max * 1e12) {
+            return None;
+        }
     }
 }
 
@@ -356,7 +356,8 @@ mod tests {
         let a = vec![1.0, 0.0, 0.0];
         let mut factor = Vec::new();
         let mut x = Vec::new();
-        let lambda = solve_spd_ridged_packed(&a, 2, &[1.0, 0.0], &mut factor, &mut x);
+        let lambda = solve_spd_ridged_packed(&a, 2, &[1.0, 0.0], &mut factor, &mut x)
+            .expect("a ridge makes the matrix factor");
         assert!(lambda > 0.0);
         assert!((x[0] - 1.0).abs() < 1e-6);
         assert!(x[1].abs() < 1e-6);
@@ -372,11 +373,23 @@ mod tests {
         let b = vec![2.0, 1.0];
         let apd = vec![4.0, 2.0, 3.0]; // [[4,2],[2,3]]
         let lambda = solve_spd_ridged_packed(&apd, 2, &b, &mut factor, &mut x);
-        assert_eq!(lambda, 0.0);
+        assert_eq!(lambda, Some(0.0));
         assert!((x[0] - 0.5).abs() < 1e-12);
         assert!(x[1].abs() < 1e-12);
         assert_eq!(factor.capacity(), cap_f);
         assert_eq!(x.capacity(), cap_x);
+    }
+
+    #[test]
+    fn packed_ridged_solve_reports_a_nan_matrix_instead_of_panicking() {
+        // [[NaN, 0], [0, 1]] packed: no ridge makes a NaN pivot factor.
+        let a = vec![f64::NAN, 0.0, 1.0];
+        let mut factor = Vec::new();
+        let mut x = Vec::new();
+        assert_eq!(solve_spd_ridged_packed(&a, 2, &[1.0, 1.0], &mut factor, &mut x), None);
+        // An all-NaN matrix as well (the ridge scale falls back to its floor).
+        let a = vec![f64::NAN; 3];
+        assert_eq!(solve_spd_ridged_packed(&a, 2, &[1.0, 1.0], &mut factor, &mut x), None);
     }
 
     #[test]

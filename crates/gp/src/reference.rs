@@ -14,7 +14,7 @@ use smart_posy::LogPosynomial;
 
 use crate::linalg::{axpy, dot, norm, solve_spd_ridged};
 use crate::solver::{check_budget, finalize, prepare, MAX_STEP, Y_BOUND};
-use crate::{GpError, GpProblem, GpSolution, SolverOptions};
+use crate::{GpError, GpProblem, GpSolution, KktReport, SolverOptions};
 
 impl GpProblem {
     /// Solves the geometric program with the dense reference kernel.
@@ -27,7 +27,13 @@ impl GpProblem {
     ///
     /// Identical to [`GpProblem::solve`].
     pub fn solve_reference(&self, opts: &SolverOptions) -> Result<GpSolution, GpError> {
-        let (obj, cons, start) = prepare(self, opts)?;
+        let start = prepare(self, opts)?;
+        let obj = LogPosynomial::from_posynomial(self.objective(), self.dim());
+        let cons: Vec<LogPosynomial> = self
+            .constraints()
+            .iter()
+            .map(|c| LogPosynomial::from_posynomial(&c.body, self.dim()))
+            .collect();
         let mut phase1_steps = 0;
         let y0 = if cons.is_empty() {
             start
@@ -36,7 +42,8 @@ impl GpProblem {
         };
         let mut phase2_steps = 0;
         let (y, t_final) = phase2_dense(&obj, &cons, y0, opts, phase1_steps, &mut phase2_steps)?;
-        finalize(self, &obj, &cons, y, t_final, phase1_steps, phase2_steps)
+        let kkt = KktReport::at_point(&obj, &cons, &y, t_final);
+        finalize(self, y, kkt, phase1_steps, phase2_steps)
     }
 }
 

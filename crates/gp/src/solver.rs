@@ -8,8 +8,13 @@
 //! Vandenberghe, ch. 11; this mirrors the "GP solver" box of the paper's
 //! Fig. 4.
 //!
-//! The Newton step is assembled **sparsely**: each constraint scatters its
-//! gradient and packed Hessian contribution only over its support via
+//! The whole problem is evaluated through one [`smart_posy::LogSystem`]:
+//! each distinct monomial exponent row's dot is computed once per point,
+//! each term's exponential once per point. A line-search trial is
+//! evaluated into a trial [`LogEval`] that is swapped in when the trial is
+//! accepted, so the next Newton step assembles its gradient and Hessian
+//! from the cached exponentials without re-evaluating anything. Each
+//! posynomial scatters only over its support via
 //! [`smart_posy::GradHessWorkspace`], and the system is factored in place
 //! in packed lower-triangular form. All per-step buffers live in a
 //! [`NewtonWorkspace`] reused across steps and line-search trials, so a
@@ -21,7 +26,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use smart_posy::{GradHessWorkspace, LogPosynomial};
+use smart_posy::{GradHessWorkspace, LogEval, LogSystem};
 
 use crate::linalg::{axpy, dot, norm, solve_spd_ridged_packed};
 use crate::{CancelToken, GpError, GpProblem, KktReport};
@@ -159,10 +164,10 @@ pub(crate) const Y_BOUND: f64 = 40.0;
 pub(crate) const MAX_STEP: f64 = 8.0;
 
 /// Per-solve scratch for the Newton loops: the sparse gradient/Hessian
-/// accumulator plus the factorization, right-hand-side, direction and
-/// line-search trial buffers. Every buffer keeps its capacity across
-/// Newton steps and backtracking trials, so the steady-state step
-/// allocates nothing.
+/// accumulator, the factorization, right-hand-side, direction and
+/// line-search trial buffers, and the evaluations at the iterate and at
+/// the trial. Every buffer keeps its capacity across Newton steps and
+/// backtracking trials, so the steady-state step allocates nothing.
 #[derive(Debug, Default)]
 struct NewtonWorkspace {
     /// Sparse scatter target: gradient + packed lower-triangular Hessian.
@@ -176,16 +181,28 @@ struct NewtonWorkspace {
     dir: Vec<f64>,
     /// Line-search trial point.
     trial: Vec<f64>,
+    /// Evaluation of the system at the current iterate; assembly reads
+    /// its cached exponentials.
+    cur: LogEval,
+    /// Evaluation at the line-search trial point, swapped with `cur`
+    /// when the trial is accepted.
+    next: LogEval,
+}
+
+/// Typed failure for a Newton system no ridge makes factorable (NaN
+/// entries or a pathological Hessian).
+fn unfactorable(stage: &'static str) -> GpError {
+    GpError::Numerical {
+        stage,
+        detail: "Newton system does not factor under any ridge".into(),
+    }
 }
 
 /// Shared setup for [`GpProblem::solve`] and
-/// [`GpProblem::solve_reference`]: validates the problem data,
-/// log-transforms the objective and constraints, and maps the optional
-/// warm start into log space.
-pub(crate) fn prepare(
-    problem: &GpProblem,
-    opts: &SolverOptions,
-) -> Result<(LogPosynomial, Vec<LogPosynomial>, Vec<f64>), GpError> {
+/// [`GpProblem::solve_reference`]: validates the problem data (so the
+/// log-transforms the callers build next cannot fail) and maps the
+/// optional warm start into log space.
+pub(crate) fn prepare(problem: &GpProblem, opts: &SolverOptions) -> Result<Vec<f64>, GpError> {
     let dim = problem.dim();
     if dim == 0 {
         return Err(GpError::Numerical {
@@ -206,13 +223,6 @@ pub(crate) fn prepare(
             detail: format!("constraint '{}': {e}", c.label),
         })?;
     }
-    let obj = LogPosynomial::from_posynomial(problem.objective(), dim);
-    let cons: Vec<LogPosynomial> = problem
-        .constraints()
-        .iter()
-        .map(|c| LogPosynomial::from_posynomial(&c.body, dim))
-        .collect();
-
     let start: Vec<f64> = match &opts.initial_x {
         Some(x0) => {
             if x0.len() < dim {
@@ -238,17 +248,16 @@ pub(crate) fn prepare(
         }
         None => vec![0.0; dim],
     };
-    Ok((obj, cons, start))
+    Ok(start)
 }
 
 /// Shared epilogue: exponentiates the log-space optimum, validates it, and
-/// assembles the [`GpSolution`] with its KKT report.
+/// assembles the [`GpSolution`] with the KKT report the caller computed
+/// at that optimum.
 pub(crate) fn finalize(
     problem: &GpProblem,
-    obj: &LogPosynomial,
-    cons: &[LogPosynomial],
     y: Vec<f64>,
-    t_final: f64,
+    kkt: KktReport,
     phase1_steps: usize,
     phase2_steps: usize,
 ) -> Result<GpSolution, GpError> {
@@ -266,11 +275,10 @@ pub(crate) fn finalize(
             detail: format!("objective evaluated to {objective} at the optimum"),
         });
     }
-    let kkt = KktReport::at_point(obj, cons, &y, t_final);
     smart_trace::emit_with("gp/solve", || {
         vec![
             ("dim", problem.dim().into()),
-            ("constraints", cons.len().into()),
+            ("constraints", problem.constraints().len().into()),
             ("phase1_steps", phase1_steps.into()),
             ("phase2_steps", phase2_steps.into()),
             ("objective", objective.into()),
@@ -301,33 +309,32 @@ impl GpProblem {
     /// * [`GpError::BudgetExceeded`] — a configured deadline or Newton-step
     ///   cap fired before convergence.
     pub fn solve(&self, opts: &SolverOptions) -> Result<GpSolution, GpError> {
-        let (obj, cons, start) = prepare(self, opts)?;
+        let start = prepare(self, opts)?;
+        // Posynomial 0 is the objective, 1..=m the constraint bodies.
+        let sys = LogSystem::from_posynomials(
+            std::iter::once(self.objective()).chain(self.constraints().iter().map(|c| &c.body)),
+            self.dim(),
+        );
         let mut nw = NewtonWorkspace::default();
         let mut phase1_steps = 0;
-        let y0 = if cons.is_empty() {
+        let y0 = if self.constraints().is_empty() {
             start
         } else {
-            phase1(&cons, start, opts, &mut phase1_steps, &mut nw)?
+            phase1(&sys, start, opts, &mut phase1_steps, &mut nw)?
         };
 
         let mut phase2_steps = 0;
-        let (y, t_final) = phase2(
-            &obj,
-            &cons,
-            y0,
-            opts,
-            phase1_steps,
-            &mut phase2_steps,
-            &mut nw,
-        )?;
-        finalize(self, &obj, &cons, y, t_final, phase1_steps, phase2_steps)
+        let (y, t_final) = phase2(&sys, y0, opts, phase1_steps, &mut phase2_steps, &mut nw)?;
+        // `nw.cur` holds the evaluation at the final iterate.
+        let kkt = KktReport::from_eval(&sys, &nw.cur, t_final);
+        finalize(self, y, kkt, phase1_steps, phase2_steps)
     }
 }
 
 /// Phase I: minimize slack `s` subject to `Fᵢ(y) ≤ s`; succeeds as soon as a
-/// point with `s < -margin` is found.
+/// point with `s < -margin` is found. Uses the constraints `1..` of `sys`.
 fn phase1(
-    cons: &[LogPosynomial],
+    sys: &LogSystem,
     start: Vec<f64>,
     opts: &SolverOptions,
     steps: &mut usize,
@@ -339,15 +346,19 @@ fn phase1(
         rhs,
         dir,
         trial,
+        cur,
+        next,
     } = nw;
+    let cons = 1..sys.len();
     let dim = start.len();
     let mut y = start;
-    let worst = |y: &[f64]| -> f64 {
-        cons.iter()
-            .map(|c| c.value(y))
+    let worst = |ev: &LogEval| -> f64 {
+        cons.clone()
+            .map(|p| ev.value(p))
             .fold(f64::NEG_INFINITY, f64::max)
     };
-    let mut s = worst(&y) + 1.0;
+    sys.eval(&y, cur);
+    let mut s = worst(cur) + 1.0;
     if s - 1.0 < -opts.feasibility_margin {
         return Ok(y); // the start is already strictly feasible
     }
@@ -371,8 +382,8 @@ fn phase1(
             // separate evaluation and costs no extra posynomial sweeps.
             let mut f0 = t * s;
             let mut domain_ok = true;
-            for c in cons {
-                let fv = c.value_grad_hess_into(&y, ws);
+            for p in cons.clone() {
+                let fv = sys.stage(p, cur, ws);
                 let g = s - fv;
                 if g <= 0.0 {
                     domain_ok = false;
@@ -397,20 +408,23 @@ fn phase1(
             }
             rhs.clear();
             rhs.extend(ws.grad().iter().map(|&g| -g));
-            solve_spd_ridged_packed(ws.hess_packed(), n, rhs, factor, dir);
+            solve_spd_ridged_packed(ws.hess_packed(), n, rhs, factor, dir)
+                .ok_or_else(|| unfactorable("phase1"))?;
             let decrement2 = -dot(ws.grad(), dir);
             if decrement2 / 2.0 < opts.newton_tol {
                 break;
             }
-            // Backtracking line search keeping s − Fᵢ > 0. Each trial also
-            // reports the worst raw constraint value so the feasibility
-            // check below reuses the accepted trial's sweep (the fold order
-            // matches `worst`, keeping the result bit-identical).
-            let value_worst = |y: &[f64], s: f64| -> Option<(f64, f64)> {
+            // Backtracking line search keeping s − Fᵢ > 0, evaluating each
+            // trial into `next`. Each trial also reports the worst raw
+            // constraint value so the feasibility check below reuses the
+            // accepted trial's sweep (the fold order matches `worst`,
+            // keeping the result bit-identical).
+            let value_worst = |y: &[f64], s: f64, ev: &mut LogEval| -> Option<(f64, f64)> {
+                sys.eval_rows(y, ev);
                 let mut v = t * s;
                 let mut w = f64::NEG_INFINITY;
-                for c in cons {
-                    let fv = c.value(y);
+                for p in cons.clone() {
+                    let fv = sys.eval_posy(p, ev);
                     let g = s - fv;
                     if g <= 0.0 {
                         return None;
@@ -432,9 +446,10 @@ fn phase1(
                 trial.extend_from_slice(&y);
                 axpy(alpha, &dir[..dim], trial);
                 let sn = s + alpha * dir[dim];
-                if let Some((fv, w)) = value_worst(trial, sn) {
+                if let Some((fv, w)) = value_worst(trial, sn, next) {
                     if fv <= f0 + 0.25 * alpha * slope {
                         std::mem::swap(&mut y, trial);
+                        std::mem::swap(cur, next);
                         s = sn;
                         worst_y = w;
                         accepted = true;
@@ -497,16 +512,15 @@ fn phase1(
         t *= opts.mu;
     }
     Err(GpError::Infeasible {
-        worst_violation: worst(&y).exp(),
+        worst_violation: worst(cur).exp(),
     })
 }
 
 /// Phase II: barrier method on `t·F₀(y) − Σ log(−Fᵢ(y))` from a strictly
-/// feasible start.
-#[allow(clippy::too_many_arguments)]
+/// feasible start. Posynomial 0 of `sys` is the objective `F₀`. On
+/// success `nw.cur` holds the evaluation at the returned point.
 fn phase2(
-    obj: &LogPosynomial,
-    cons: &[LogPosynomial],
+    sys: &LogSystem,
     mut y: Vec<f64>,
     opts: &SolverOptions,
     spent_before: usize,
@@ -519,15 +533,19 @@ fn phase2(
         rhs,
         dir,
         trial,
+        cur,
+        next,
     } = nw;
     let dim = y.len();
+    let cons = 1..sys.len();
     let m = cons.len();
     let mut t: f64 = 1.0f64.max(m as f64);
 
-    let value = |y: &[f64], t: f64| -> Option<f64> {
-        let mut v = t * obj.value(y);
-        for c in cons {
-            let fv = c.value(y);
+    let value = |y: &[f64], t: f64, ev: &mut LogEval| -> Option<f64> {
+        sys.eval_rows(y, ev);
+        let mut v = t * sys.eval_posy(0, ev);
+        for p in cons.clone() {
+            let fv = sys.eval_posy(p, ev);
             if fv >= 0.0 {
                 return None;
             }
@@ -536,6 +554,7 @@ fn phase2(
         Some(v)
     };
 
+    sys.eval(&y, cur);
     loop {
         // Centering.
         for _ in 0..opts.max_newton_iter {
@@ -544,14 +563,14 @@ fn phase2(
             ws.reset(dim);
             // The objective contributes t·∇F₀ and t·∇²F₀ (no rank-one
             // barrier piece). As in phase I, the barrier value `f0` is
-            // accumulated from the assembly's own evaluations, in the same
+            // accumulated from the assembly's own values, in the same
             // order as the line-search evaluator — bit-identical, no extra
             // sweeps.
-            let obj_val = obj.value_grad_hess_into(&y, ws);
+            let obj_val = sys.stage(0, cur, ws);
             ws.scatter_staged(t, t, 0.0);
             let mut f0 = t * obj_val;
-            for c in cons {
-                let fv = c.value_grad_hess_into(&y, ws);
+            for p in cons.clone() {
+                let fv = sys.stage(p, cur, ws);
                 if fv >= 0.0 {
                     return Err(GpError::Numerical {
                         stage: "phase2",
@@ -565,7 +584,8 @@ fn phase2(
             }
             rhs.clear();
             rhs.extend(ws.grad().iter().map(|&g| -g));
-            solve_spd_ridged_packed(ws.hess_packed(), dim, rhs, factor, dir);
+            solve_spd_ridged_packed(ws.hess_packed(), dim, rhs, factor, dir)
+                .ok_or_else(|| unfactorable("phase2"))?;
             let decrement2 = -dot(ws.grad(), dir);
             if decrement2.abs() / 2.0 < opts.newton_tol {
                 break;
@@ -577,9 +597,10 @@ fn phase2(
                 trial.clear();
                 trial.extend_from_slice(&y);
                 axpy(alpha, dir, trial);
-                if let Some(fv) = value(trial, t) {
+                if let Some(fv) = value(trial, t, next) {
                     if fv <= f0 + 0.25 * alpha * slope {
                         std::mem::swap(&mut y, trial);
+                        std::mem::swap(cur, next);
                         accepted = true;
                         break;
                     }

@@ -1,7 +1,8 @@
 //! Asserts the steady-state Newton step of the GP kernel performs **zero
-//! heap allocations**: sparse evaluation into the workspace, barrier
-//! scatter, packed ridged Cholesky solve, and streaming line-search
-//! value trials all reuse warmed-up buffers.
+//! heap allocations**: assembly from the cached evaluation of the current
+//! iterate, barrier scatter, packed ridged Cholesky solve, line-search
+//! trials evaluated into the trial buffer, and the swap on accept all
+//! reuse warmed-up buffers.
 //!
 //! This file holds exactly one `#[test]` and installs a counting global
 //! allocator, so the counter window cannot race a sibling test thread.
@@ -9,8 +10,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use smart_gp::linalg::{axpy, solve_spd_ridged_packed};
-use smart_posy::{GradHessWorkspace, LogPosynomial, Monomial, Posynomial, VarPool};
+use smart_gp::linalg::{axpy, dot, norm, solve_spd_ridged_packed};
+use smart_posy::{GradHessWorkspace, LogEval, LogSystem, Monomial, Posynomial, VarPool};
 
 struct CountingAlloc;
 
@@ -48,64 +49,83 @@ struct Buffers {
     rhs: Vec<f64>,
     dir: Vec<f64>,
     trial: Vec<f64>,
+    cur: LogEval,
+    next: LogEval,
 }
 
 /// One full phase-II Newton step exactly as the production solver runs
-/// it: sparse assembly, packed ridged solve, then backtracking trials
-/// evaluated with the streaming `value()`.
-fn newton_step(obj: &LogPosynomial, cons: &[LogPosynomial], y: &[f64], t: f64, b: &mut Buffers) {
+/// it: assembly from the cached evaluation at `y` (posynomial 0 is the
+/// objective), packed ridged solve, then backtracking trials evaluated
+/// into `next` until one passes the Armijo test, whereupon the iterate
+/// and the evaluations are swapped.
+fn newton_step(sys: &LogSystem, y: &mut Vec<f64>, t: f64, b: &mut Buffers) {
     let dim = y.len();
     b.ws.reset(dim);
-    let _ = obj.value_grad_hess_into(y, &mut b.ws);
+    let obj_val = sys.stage(0, &b.cur, &mut b.ws);
     b.ws.scatter_staged(t, t, 0.0);
-    for c in cons {
-        let fv = c.value_grad_hess_into(y, &mut b.ws);
-        assert!(fv < 0.0, "test point must be strictly interior");
+    let mut f0 = t * obj_val;
+    for p in 1..sys.len() {
+        let fv = sys.stage(p, &b.cur, &mut b.ws);
+        assert!(fv < 0.0, "iterate must stay strictly interior");
+        f0 -= (-fv).ln();
         let inv = -1.0 / fv;
         b.ws.scatter_staged(inv, inv, inv * inv);
     }
     b.rhs.clear();
     b.rhs.extend(b.ws.grad().iter().map(|&g| -g));
-    solve_spd_ridged_packed(b.ws.hess_packed(), dim, &b.rhs, &mut b.factor, &mut b.dir);
-    // Backtracking trials: trial point + barrier value, allocation-free.
-    let mut alpha = 0.25f64;
-    for _ in 0..4 {
+    solve_spd_ridged_packed(b.ws.hess_packed(), dim, &b.rhs, &mut b.factor, &mut b.dir)
+        .expect("interior Hessian factors");
+    let slope = dot(b.ws.grad(), &b.dir);
+    let mut alpha = (8.0 / norm(&b.dir)).min(1.0);
+    for _ in 0..60 {
         b.trial.clear();
         b.trial.extend_from_slice(y);
         axpy(alpha, &b.dir, &mut b.trial);
-        let mut v = t * obj.value(&b.trial);
-        for c in cons {
-            let fv = c.value(&b.trial);
-            assert!(fv < 0.0, "trial left the interior; shrink alpha in the test");
-            v -= (-fv).ln();
+        sys.eval_rows(&b.trial, &mut b.next);
+        let mut v = Some(t * sys.eval_posy(0, &mut b.next));
+        for p in 1..sys.len() {
+            let fv = sys.eval_posy(p, &mut b.next);
+            if fv >= 0.0 {
+                v = None;
+                break;
+            }
+            v = v.map(|v| v - (-fv).ln());
         }
-        std::hint::black_box(v);
+        if v.is_some_and(|v| v <= f0 + 0.25 * alpha * slope) {
+            std::mem::swap(y, &mut b.trial);
+            std::mem::swap(&mut b.cur, &mut b.next);
+            return;
+        }
         alpha *= 0.5;
     }
+    panic!("line search stalled; the test problem is too degenerate");
 }
 
 #[test]
 fn steady_state_newton_step_allocates_nothing() {
     // A chain-structured GP like a sizing problem: each constraint touches
-    // two adjacent width variables (support 2 in a 24-dim ambient space).
+    // two adjacent width variables (support 2 in a 24-dim ambient space),
+    // and the constraints' w_{i+1} terms share their exponent rows with the
+    // objective's, as the terms of a compacted sizing GP do.
     let dim = 24usize;
     let mut pool = VarPool::new();
     let vars: Vec<_> = (0..dim).map(|i| pool.var(&format!("w{i}"))).collect();
-    let obj_p = vars
+    let obj = vars
         .iter()
         .fold(Posynomial::zero(), |acc, &v| acc + Monomial::var(v));
-    let obj = LogPosynomial::from_posynomial(&obj_p, dim);
-    let cons: Vec<LogPosynomial> = (0..dim - 1)
+    let cons: Vec<Posynomial> = (0..dim - 1)
         .map(|i| {
-            // 0.2·w_{i+1}/w_i + 0.1/w_i ≤ 1, strictly interior at x = 1.
-            let body = Posynomial::from(
-                Monomial::new(0.2).pow(vars[i + 1], 1.0).pow(vars[i], -1.0),
-            ) + Monomial::new(0.1).pow(vars[i], -1.0);
-            LogPosynomial::from_posynomial(&body, dim)
+            // 0.2·w_{i+1}/w_i + 0.1/w_i + 0.05·w_{i+1} ≤ 1, strictly
+            // interior at x = 1.
+            Posynomial::from(Monomial::new(0.2).pow(vars[i + 1], 1.0).pow(vars[i], -1.0))
+                + Monomial::new(0.1).pow(vars[i], -1.0)
+                + Monomial::new(0.05).pow(vars[i + 1], 1.0)
         })
         .collect();
+    let sys = LogSystem::from_posynomials(std::iter::once(&obj).chain(&cons), dim);
+    assert!(sys.distinct_rows() < sys.terms(), "rows must be shared");
 
-    let y = vec![0.0; dim]; // x = 1: strictly feasible
+    let mut y = vec![0.0; dim]; // x = 1: strictly feasible
     let t = 8.0;
     let mut b = Buffers {
         ws: GradHessWorkspace::new(dim),
@@ -113,14 +133,17 @@ fn steady_state_newton_step_allocates_nothing() {
         rhs: Vec::new(),
         dir: Vec::new(),
         trial: Vec::new(),
+        cur: LogEval::default(),
+        next: LogEval::default(),
     };
+    sys.eval(&y, &mut b.cur);
 
     // Warm-up: every buffer reaches its steady-state capacity.
-    newton_step(&obj, &cons, &y, t, &mut b);
-    newton_step(&obj, &cons, &y, t, &mut b);
+    newton_step(&sys, &mut y, t, &mut b);
+    newton_step(&sys, &mut y, t, &mut b);
 
     let before = ALLOCS.load(Ordering::SeqCst);
-    newton_step(&obj, &cons, &y, t, &mut b);
+    newton_step(&sys, &mut y, t, &mut b);
     let after = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,

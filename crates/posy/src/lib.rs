@@ -37,6 +37,7 @@ mod error;
 mod logform;
 mod monomial;
 mod posynomial;
+mod system;
 mod vars;
 mod workspace;
 
@@ -44,5 +45,6 @@ pub use error::PosyError;
 pub use logform::{LogPosynomial, LogTerm};
 pub use monomial::Monomial;
 pub use posynomial::Posynomial;
+pub use system::{LogEval, LogSystem};
 pub use vars::{VarId, VarPool};
 pub use workspace::{packed_index, packed_len, GradHessWorkspace};

@@ -180,8 +180,10 @@ impl LogPosynomial {
     /// large or small exponents do not overflow.
     ///
     /// Streams the terms twice (max pass, then sum pass) instead of
-    /// materializing the dot vector — the line searches of the GP solver
-    /// call this per constraint per trial, so it must not allocate.
+    /// materializing the dot vector, so it does not allocate. This is the
+    /// per-posynomial oracle: the GP solver evaluates a whole problem at
+    /// once through [`LogSystem`](crate::LogSystem), whose values agree
+    /// with this one to the last bit.
     ///
     /// # Panics
     ///
@@ -247,11 +249,12 @@ impl LogPosynomial {
     }
 
     /// Sparse twin of [`value_grad_hess`](Self::value_grad_hess): stages
-    /// the gradient and packed Hessian **over the support only** into
-    /// `ws` and returns the value. The caller folds the staged
-    /// contribution into the global accumulators with
-    /// [`GradHessWorkspace::scatter_staged`], choosing scale factors that
-    /// may depend on the returned value (barrier weights do).
+    /// the gradient and the packed raw second moment `Σ wₖaₖaₖᵀ` **over
+    /// the support only** into `ws` and returns the value. The caller
+    /// folds the staged contribution into the global accumulators with
+    /// [`GradHessWorkspace::scatter_staged`], which applies the low-rank
+    /// `−ggᵀ` completion, choosing scale factors that may depend on the
+    /// returned value (barrier weights do).
     ///
     /// Cost is O(Σₖ sₖ²) in the per-term support sizes — independent of
     /// the ambient dimension — and allocation-free once the workspace
@@ -286,7 +289,6 @@ impl LogPosynomial {
             *z /= sum;
         }
         let (grad, hess) = ws.stage_buffers();
-        let s = self.support.len();
         for (k, &wk) in scratch.iter().enumerate() {
             let range = self.slot_bounds[k] as usize..self.slot_bounds[k + 1] as usize;
             let exps = &self.slot_exps[range];
@@ -300,13 +302,6 @@ impl LogPosynomial {
                         hess[row + sj] += wk * ei * ej;
                     }
                 }
-            }
-        }
-        // Low-rank completion: H = Σ wₖaₖaₖᵀ − ggᵀ.
-        for si in 0..s {
-            let row = si * (si + 1) / 2;
-            for sj in 0..=si {
-                hess[row + sj] -= grad[si] * grad[sj];
             }
         }
         ws.term_scratch = scratch;

@@ -10,13 +10,15 @@
 //! assembly into O(m·s²) scatter-adds (s = support size) with **zero heap
 //! allocations after warm-up**:
 //!
-//! 1. [`LogPosynomial::value_grad_hess_into`] evaluates one posynomial
-//!    into the workspace's *staging* area — its value, its gradient over
-//!    the support slots, and its packed support×support Hessian,
-//!    exploiting the low-rank `Σ wₖaₖaₖᵀ − ggᵀ` structure.
+//! 1. [`LogSystem::stage`] (or, per posynomial,
+//!    [`LogPosynomial::value_grad_hess_into`]) stages one posynomial into
+//!    the workspace's *staging* area — its gradient `g` over the support
+//!    slots and its packed support×support raw second moment
+//!    `S = Σ wₖaₖaₖᵀ`.
 //! 2. [`GradHessWorkspace::scatter_staged`] folds the staged contribution
 //!    into the global accumulators with caller-chosen barrier scale
-//!    factors (which depend on the staged value, hence the two steps).
+//!    factors (which depend on the staged value, hence the two steps),
+//!    applying the low-rank completion `H = S − ggᵀ` in the same pass.
 //!
 //! The global Hessian accumulator is a flat row-major **packed lower
 //! triangle** (`hess[i·(i+1)/2 + j]`, `j ≤ i`), the same layout the
@@ -24,6 +26,7 @@
 //!
 //! [`LogPosynomial::value_grad_hess`]: crate::LogPosynomial::value_grad_hess
 //! [`LogPosynomial::value_grad_hess_into`]: crate::LogPosynomial::value_grad_hess_into
+//! [`LogSystem::stage`]: crate::LogSystem::stage
 
 /// Index of entry `(i, j)`, `j ≤ i`, in a row-major packed lower triangle.
 #[inline]
@@ -54,7 +57,8 @@ pub struct GradHessWorkspace {
     stage_support: Vec<usize>,
     /// Staged gradient over the support slots.
     stage_grad: Vec<f64>,
-    /// Staged Hessian, packed lower triangle over the support slots.
+    /// Staged raw second moment `Σ wₖaₖaₖᵀ`, packed lower triangle over
+    /// the support slots (the `−ggᵀ` completion happens in the scatter).
     stage_hess: Vec<f64>,
     /// Per-term scratch (exponent dots, then softmax weights, in place).
     pub(crate) term_scratch: Vec<f64>,
@@ -124,11 +128,8 @@ impl GradHessWorkspace {
     }
 
     /// Begins staging a posynomial with the given support: copies the
-    /// indices and zeroes the staged gradient/Hessian. Called by
-    /// [`LogPosynomial::value_grad_hess_into`]; not part of the public
-    /// accumulation protocol.
-    ///
-    /// [`LogPosynomial::value_grad_hess_into`]: crate::LogPosynomial::value_grad_hess_into
+    /// indices and zeroes the staged gradient/moment. Called by the
+    /// staging evaluators; not part of the public accumulation protocol.
     pub(crate) fn stage_begin(&mut self, support: &[usize]) {
         debug_assert!(
             support.last().is_none_or(|&i| i < self.dim),
@@ -144,7 +145,7 @@ impl GradHessWorkspace {
     }
 
     /// Mutable staged buffers for the evaluator (grad slots, packed
-    /// Hessian slots).
+    /// raw-moment slots).
     pub(crate) fn stage_buffers(&mut self) -> (&mut [f64], &mut [f64]) {
         (&mut self.stage_grad, &mut self.stage_hess)
     }
@@ -153,10 +154,11 @@ impl GradHessWorkspace {
     ///
     /// ```text
     /// grad += g_scale · g
-    /// hess += outer_scale · g gᵀ + h_scale · H
+    /// hess += outer_scale · g gᵀ + h_scale · (S − g gᵀ)
     /// ```
     ///
-    /// where `g`/`H` are the staged gradient and Hessian. The split lets
+    /// where `g`/`S` are the staged gradient and raw second moment, so
+    /// `H = S − ggᵀ` is the staged posynomial's Hessian. The split lets
     /// one staged evaluation serve every barrier role: an objective term
     /// is `(t, t, 0)`, a log-barrier constraint term `1/(−F)` is
     /// `(inv, inv, inv²)` — the `inv²·ggᵀ` rank-one piece and the `inv·H`
@@ -175,8 +177,9 @@ impl GradHessWorkspace {
                 // Support is sorted ascending, so the global (row, col)
                 // pair stays in the lower triangle.
                 let gj_idx = self.stage_support[sj];
+                let gj = self.stage_grad[sj];
                 self.hess[row + gj_idx] +=
-                    outer_scale * gi * self.stage_grad[sj] + h_scale * self.stage_hess[stage_row + sj];
+                    outer_scale * gi * gj + h_scale * (self.stage_hess[stage_row + sj] - gi * gj);
             }
         }
     }
@@ -233,12 +236,13 @@ mod tests {
     fn scatter_scales_gradient_and_outer_product() {
         let mut ws = GradHessWorkspace::new(4);
         // Stage a posynomial supported on {1, 3} with g = [2, -1] and
-        // H = 0 (pure rank-one test).
+        // S = ggᵀ, so H = S − ggᵀ = 0 (pure rank-one test).
         ws.stage_begin(&[1, 3]);
         {
-            let (g, _) = ws.stage_buffers();
+            let (g, s) = ws.stage_buffers();
             g[0] = 2.0;
             g[1] = -1.0;
+            s.copy_from_slice(&[4.0, -2.0, 1.0]);
         }
         ws.scatter_staged(3.0, 1.0, 0.5);
         assert_eq!(ws.grad(), &[0.0, 6.0, 0.0, -3.0]);
